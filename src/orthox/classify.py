@@ -24,7 +24,7 @@ from .family import (
     order_gcd,
 )
 from .normal_form import ReducedWord, reduce
-from .words import parse_word
+from .words import balance, parse_runs
 
 FREE_MOST = Combinatorial(None, None)
 
@@ -122,12 +122,12 @@ def infer_family(rels: Sequence[Relation]) -> FamilySpec:
     absorb_right = False
     deltas = []
     for r in rels:
-        u, v = parse_word(r.lhs), parse_word(r.rhs)
-        if u[0] != v[0]:
+        u, v = parse_runs(r.lhs), parse_runs(r.rhs)
+        if u[0][0] != v[0][0]:
             absorb_right = True
-        if u[-1] != v[-1]:
+        if u[-1][0] != v[-1][0]:
             absorb_left = True
-        deltas.append((u.count("a") - u.count("b")) - (v.count("a") - v.count("b")))
+        deltas.append(balance(u) - balance(v))
     return GroupCase(absorb_left, absorb_right, order_gcd(deltas))
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OrthoxError
-from .words import mirror, parse_word
+from .words import balance, mirror, parse_runs
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def group_case(case: int, order: int | None) -> GroupCase:
 
 def letter_balance(word: str) -> int:
     """#a minus #b for a flat or caret-form word."""
-    flat = parse_word(word)
-    return flat.count("a") - flat.count("b")
+    return balance(parse_runs(word))
 
 
 def _bound_str(value: int | None) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import FamilyMismatch, OrthoxError
 from .family import Combinatorial, FamilySpec, GroupCase
-from .words import format_word, mirror, parse_word, syllables
+from .words import Run, balance, format_runs, mirror_runs, parse_runs, run_syllables
 
 Part = tuple[int, int]
 
@@ -59,9 +59,6 @@ class ReducedWord:
     def tail(self) -> Part | None:
         return (self.l, self.j) if self.l else None
 
-    def spelled(self) -> str:
-        return "a" * self.i + "b" * self.k + "a" * self.l + "b" * self.j
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -80,17 +77,21 @@ class Element:
 
 def reduce(word: str, family: FamilySpec) -> Element:
     """Canonical form of a word (caret notation accepted) in the family."""
-    flat = parse_word(word)
+    return reduce_runs(parse_runs(word), family)
+
+
+def reduce_runs(runs: list[Run], family: FamilySpec) -> Element:
+    """Canonical form of a word given as maximal runs; O(number of runs)."""
     if isinstance(family, GroupCase):
-        g = flat.count("a") - flat.count("b")
+        g = balance(runs)
         if family.order is not None:
             g %= family.order
         return Element(family, GroupElement(
             g,
-            flat[0] if family.tracks_row else None,
-            flat[-1] if family.tracks_col else None))
+            runs[0][0] if family.tracks_row else None,
+            runs[-1][0] if family.tracks_col else None))
     acc: tuple[Part | None, Part | None] | None = None
-    for k, l in syllables(flat):
+    for k, l in run_syllables(runs):
         syl = _bounded(family, *_abridge(k, l))
         acc = syl if acc is None else _bounded(family, *_combine(*acc, *syl))
     assert acc is not None
@@ -118,16 +119,21 @@ def equal(x: Element, y: Element) -> bool:
 
 def canonical_inverse(x: Element) -> Element:
     """The inverse obtained by mirroring the canonical word of x."""
-    return reduce(mirror(parse_word(format_element(x))), x.family)
+    return reduce_runs(mirror_runs(element_runs(x)), x.family)
 
 
 def power(x: Element, p: int) -> Element:
+    """x^p by square-and-multiply: at most 2 log2(p) multiplies."""
     if p < 1:
         raise OrthoxError(f"power expects a positive exponent, got {p}")
-    acc = x
-    for _ in range(p - 1):
-        acc = multiply(acc, x)
-    return acc
+    acc, base = None, x
+    while True:
+        if p & 1:
+            acc = base if acc is None else multiply(acc, base)
+        p >>= 1
+        if not p:
+            return acc
+        base = multiply(base, base)
 
 
 def is_idempotent(x: Element) -> bool:
@@ -169,9 +175,17 @@ def order_of(x: Element, probe_limit: int) -> Finite | InfiniteUpTo:
 
 def format_element(x: Element) -> str:
     """Canonical word of x in caret notation; round-trips through reduce."""
-    if isinstance(x.form, ReducedWord):
-        return format_word(x.form.spelled())
-    return format_word(_group_word(x.family, x.form))
+    return format_runs(element_runs(x))
+
+
+def element_runs(x: Element) -> list[Run]:
+    """Maximal runs of the canonical word of x."""
+    if isinstance(x.form, GroupElement):
+        return _group_runs(x.family, x.form)
+    f = x.form
+    return [(letter, count)
+            for letter, count in (("a", f.i), ("b", f.k), ("a", f.l), ("b", f.j))
+            if count]
 
 
 def element_to_json(x: Element) -> dict:
@@ -296,50 +310,35 @@ def _element(family: Combinatorial, p: Part | None, q: Part | None) -> Element:
 
 # -- group-case canonical words ---------------------------------------
 
-def _group_word(family: GroupCase, form: GroupElement) -> str:
-    g = form.g
-    order = family.order
-    if order is not None:
-        key = (form.row, form.col)
-        if key == ("a", "a"):
-            return "abba" if g == 0 else "a" * g
-        if key == ("a", "b"):
-            return "ab" if g == 0 else "a" * (g + 1) + "b"
-        if key == ("b", "a"):
-            return "ba" if g == 0 else "b" * (order + 1 - g) + "a"
-        if key == ("b", "b"):
-            return "baab" if g == 0 else "b" * (order - g)
-        if key == (None, "a"):
-            return "ba" if g == 0 else "a" * g
-        if key == (None, "b"):
-            return "ab" if g == 0 else "b" * (order - g)
-        if key == ("a", None):
-            return "ab" if g == 0 else "a" * g
-        if key == ("b", None):
-            return "ba" if g == 0 else "b" * (order - g)
-        return "ab" if g == 0 else "a" * g
-    t = -g
-    key = (form.row, form.col)
-    if key == ("a", "a"):
-        return "a" * g if g >= 1 else "a" + "b" * (t + 2) + "a"
-    if key == ("a", "b"):
-        if g >= 1:
-            return "a" * (g + 1) + "b"
-        return "ab" if g == 0 else "a" + "b" * (t + 1)
-    if key == ("b", "a"):
-        if g >= 1:
-            return "b" + "a" * (g + 1)
-        return "ba" if g == 0 else "b" * (t + 1) + "a"
-    if key == ("b", "b"):
-        if g >= 1:
-            return "b" + "a" * (g + 2) + "b"
-        return "baab" if g == 0 else "b" * t
-    if key == (None, "a"):
-        return "a" * g if g >= 1 else ("ba" if g == 0 else "b" * (t + 1) + "a")
-    if key == (None, "b"):
-        return "a" * (g + 1) + "b" if g >= 1 else ("ab" if g == 0 else "b" * t)
-    if key == ("a", None):
-        return "a" * g if g >= 1 else ("ab" if g == 0 else "a" + "b" * (t + 1))
-    if key == ("b", None):
-        return "b" + "a" * (g + 1) if g >= 1 else ("ba" if g == 0 else "b" * t)
-    return "a" * g if g >= 1 else ("ab" if g == 0 else "b" * t)
+def _group_runs(family: GroupCase, form: GroupElement) -> list[Run]:
+    """The shortest word with balance g and the tracked first/last letters.
+
+    An untracked end letter is the one the balance favours, or at balance
+    0 the opposite of the other end ("ab" when both are free).  A finite
+    order reads a nonzero residue g as g - order when the word is led by
+    b: by its row, else its column.
+    """
+    g, row, col = form.g, form.row, form.col
+    if family.order is not None and g and (row or col) == "b":
+        g -= family.order
+    row = row or _free_end(g, col)
+    col = col or _free_end(g, row)
+    return _shortest(g, row, col)
+
+
+def _free_end(g: int, other: str | None) -> str:
+    if g:
+        return "a" if g > 0 else "b"
+    return "b" if other == "a" else "a"
+
+
+def _shortest(g: int, first: str, last: str) -> list[Run]:
+    """The shortest word with balance g that starts with `first`, ends with `last`."""
+    if first != last:
+        count = {"a": max(g, 0) + 1, "b": max(-g, 0) + 1}
+        return [(first, count[first]), (last, count[last])]
+    lead = g if first == "a" else -g       # balance in favour of the end letter
+    if lead >= 1:
+        return [(first, lead)]
+    other = "b" if first == "a" else "a"
+    return [(first, 1), (other, 2 - lead), (first, 1)]

@@ -16,9 +16,9 @@ from .family import Combinatorial
 from .normal_form import (
     Element,
     GroupElement,
-    format_element,
+    element_runs,
     multiply,
-    reduce,
+    reduce_runs,
     sort_key,
     window_elements,
 )
@@ -43,7 +43,7 @@ def inverse_image(x: Element) -> InverseImage:
     """Image of x in the maximum inverse-semigroup quotient."""
     if isinstance(x.form, GroupElement):
         return CyclicImage(x.form.g)
-    return BicyclicImage(reduce(format_element(x), BICYCLIC))
+    return BicyclicImage(reduce_runs(element_runs(x), BICYCLIC))
 
 
 def inverses_window(x: Element, bound: int) -> list[Element]:
@@ -56,12 +56,8 @@ def inverses_window(x: Element, bound: int) -> list[Element]:
     return out
 
 
-def inverse_related(x: Element, y: Element, bound: int = 8) -> bool:
-    """Whether x and y share their full inverse sets.
-
-    Decided by image equality; `bound` names the window a caller may use
-    to double-check against :func:`inverses_window`.
-    """
+def inverse_related(x: Element, y: Element) -> bool:
+    """Whether x and y share their full inverse sets, decided by image equality."""
     if x.family != y.family:
         raise FamilyMismatch("inverse relatedness compares elements of one family")
     return inverse_image(x) == inverse_image(y)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from orthox import Combinatorial, GroupCase
 
@@ -19,3 +20,18 @@ GROUP_CASES = [GroupCase(la, rb, order)
 @pytest.fixture(scope="session")
 def free_most():
     return Combinatorial(None, None)
+
+
+# Words as run lists [(letter, exponent)].  Letters are drawn independently,
+# so neighbouring runs may share a letter ("a^2a") and the parser has to
+# merge them.
+RUN_LISTS = st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 6)),
+                     min_size=1, max_size=8)
+
+
+def caret(runs):
+    return "".join(letter if e == 1 else f"{letter}^{e}" for letter, e in runs)
+
+
+def flat(runs):
+    return "".join(letter * e for letter, e in runs)

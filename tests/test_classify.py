@@ -86,6 +86,10 @@ def test_infer_group_order_gcd():
     got = infer_family([Relation("ba", "b^2a^2"), Relation("a^6", "a"),
                         Relation("a^11", "a")])
     assert got == GroupCase(False, False, 5)
+    n = 10**12
+    assert infer_family([Relation(f"a^{n}", "a")]) == GroupCase(False, False, n - 1)
+    got = infer_family([Relation(f"b^{n}a^{2 * n}", "a")])
+    assert got == GroupCase(False, True, n - 1)
 
 
 def test_infer_mixed_system_routes_to_group():

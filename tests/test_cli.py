@@ -111,6 +111,21 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and err.startswith("WindowExceedsBounds:")
 
 
+def test_non_ascii_exponent_exit_1(capsys):
+    code, out, err = run(capsys, "reduce", "--family", "inf,inf", "a^\u0663b")
+    assert (code, out) == (1, "")
+    assert err.startswith("BadExponent:")
+
+
+def test_huge_exponents(capsys):
+    n = 10**18
+    code, out, err = run(capsys, "reduce", "--family", "inf,inf",
+                         f"a^{n}b^{n + 3}a")
+    assert (code, out, err) == (0, "ab^4a\n", "")
+    code, out, err = run(capsys, "infer", "--rel", "a^1000000000000=a")
+    assert (code, out) == (0, "GroupCase(1, order=999999999999)\n")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["green", "--family", "inf,inf", "--rel", "Q", "a", "b"])

@@ -11,6 +11,7 @@ from orthox import (
 from orthox.family import (
     describe,
     group_case,
+    letter_balance,
     parse_bound,
     parse_combinatorial,
 )
@@ -101,6 +102,12 @@ def test_parse_helpers():
     assert group_case(2, 5) == GroupCase(False, True, 5)
     with pytest.raises(OrthoxError):
         group_case(5, None)
+
+
+def test_letter_balance():
+    assert letter_balance("abba") == 0
+    assert letter_balance("a^3b") == 2
+    assert letter_balance(f"a^{10**18}b^2a") == 10**18 - 1
 
 
 def test_describe():

@@ -1,3 +1,6 @@
+import time
+from functools import reduce as fold
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from orthox import (
     mirror,
     multiply,
     order_of,
+    parse_word,
     power,
     reduce,
     relations_of,
@@ -28,7 +32,7 @@ from orthox import (
 from orthox.normal_form import element_to_json
 from orthox.oracle import all_words
 
-from conftest import COMBINATORIAL_FIVE
+from conftest import COMBINATORIAL_FIVE, RUN_LISTS, caret, flat
 
 FREE = Combinatorial(None, None)
 words_st = st.text(alphabet="ab", min_size=1, max_size=14)
@@ -272,3 +276,81 @@ def test_inverse_laws_random(w):
     y = canonical_inverse(x)
     assert multiply(multiply(x, y), x) == x
     assert multiply(multiply(y, x), y) == y
+
+
+# -- exponent-native words ----------------------------------------------
+
+# The twenty families the benchmark draws from.
+BENCH_FAMILIES = [Combinatorial(n, m) for n, m in (
+    (None, None), (1, 1), (2, 2), (3, 2), (2, 3), (4, 3),
+    (1, None), (None, 1), (3, None), (None, 3), (4, None), (None, 4))] + [
+    GroupCase(left, right, order)
+    for left in (False, True) for right in (False, True) for order in (None, 2)]
+families_st = st.sampled_from(BENCH_FAMILIES)
+
+
+@given(families_st, RUN_LISTS)
+@settings(max_examples=300)
+def test_reduce_caret_equals_reduce_spelled(family, runs):
+    x = reduce(caret(runs), family)
+    assert x == reduce(flat(runs), family)
+    # letter by letter, never through a run longer than one
+    assert x == fold(multiply, [reduce(letter, family) for letter in flat(runs)])
+
+
+@given(families_st, RUN_LISTS, st.integers(1, 40))
+@settings(max_examples=200)
+def test_power_equals_repeated_multiply(family, runs, p):
+    x = reduce(caret(runs), family)
+    assert power(x, p) == fold(multiply, [x] * p)
+
+
+@given(families_st, RUN_LISTS)
+@settings(max_examples=200)
+def test_canonical_inverse_is_mirrored_spelling(family, runs):
+    x = reduce(caret(runs), family)
+    y = canonical_inverse(x)
+    assert multiply(multiply(x, y), x) == x
+    assert multiply(multiply(y, x), y) == y
+    assert y == reduce(mirror(parse_word(format_element(x))), family)
+
+
+@pytest.mark.parametrize("family", [
+    GroupCase(left, right, None) for left in (False, True) for right in (False, True)])
+def test_group_words_are_shortlex_least(family):
+    # With infinite order the canonical word is the shortlex-least word of
+    # its element; a shorter or equal-length smaller word would win.
+    for w in all_words(8):
+        canon = parse_word(format_element(reduce(w, family)))
+        assert (len(canon), canon) <= (len(w), w), (w, canon)
+
+
+def test_group_words_finite_order():
+    case1 = GroupCase(False, False, 5)
+    assert format_element(Element(case1, GroupElement(0, "a", "a"))) == "ab^2a"
+    assert format_element(Element(case1, GroupElement(2, "b", "a"))) == "b^4a"
+    assert format_element(Element(case1, GroupElement(2, "a", "b"))) == "a^3b"
+    assert format_element(Element(case1, GroupElement(3, "b", "b"))) == "b^2"
+    case2 = GroupCase(False, True, 5)
+    assert format_element(Element(case2, GroupElement(2, None, "b"))) == "b^3"
+    assert format_element(Element(case2, GroupElement(2, None, "a"))) == "a^2"
+    case4 = GroupCase(True, True, 3)
+    assert format_element(Element(case4, GroupElement(0, None, None))) == "ab"
+    assert format_element(Element(case4, GroupElement(1, None, None))) == "a"
+
+
+N = 10**18
+
+
+def test_huge_exponent_reduce():
+    start = time.perf_counter()
+    x = reduce(f"a^{N}b^{N + 3}a", FREE)
+    assert format_element(x) == "ab^4a"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_exponent_power():
+    start = time.perf_counter()
+    x = power(reduce("a^2b", FREE), N)
+    assert format_element(x) == f"a^{N + 1}b"
+    assert time.perf_counter() - start < 1.0

@@ -1,9 +1,22 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthox.errors import BadExponent, BadSymbol, EmptyWord
-from orthox.words import format_word, mirror, parse_word, spell, syllables
+from orthox import Combinatorial, reduce
+from orthox.errors import BadExponent, BadSymbol, EmptyWord, OrthoxError
+from orthox.words import (
+    format_runs,
+    format_word,
+    mirror,
+    parse_runs,
+    parse_word,
+    spell,
+    syllables,
+)
+
+from conftest import RUN_LISTS, caret, flat
 
 words = st.text(alphabet="ab", min_size=1, max_size=24)
 
@@ -32,6 +45,32 @@ def test_parse_rejects_bad_input():
         parse_word("a2")
     with pytest.raises(BadExponent):
         parse_word("^2ab")
+
+
+def test_parse_runs_merges_without_expanding():
+    assert parse_runs("a^2ab") == [("a", 3), ("b", 1)]
+    assert parse_runs("aa^3b^2b") == [("a", 4), ("b", 3)]
+    assert parse_runs("b") == [("b", 1)]
+    n = 10**18
+    assert parse_runs(f"a^{n}a^{n}b^{n}") == [("a", 2 * n), ("b", n)]
+    assert format_runs(parse_runs(f"a^{n}ab")) == f"a^{n + 1}b"
+
+
+def test_parse_rejects_non_ascii_digits():
+    # U+0663 is an Arabic-Indic three, a digit to str.isdigit but not an exponent
+    for text in ("a^\u0663b", "a^\u0663", "a\u0663"):
+        with pytest.raises(OrthoxError):
+            parse_runs(text)
+        with pytest.raises(OrthoxError):
+            reduce(text, Combinatorial(None, None))
+
+
+def test_parse_rejects_exponent_too_long_to_convert():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts exponents of any length on this interpreter")
+    with pytest.raises(BadExponent):
+        parse_runs("a^" + "1" * (limit + 1))
 
 
 def test_syllables_examples():
@@ -77,3 +116,12 @@ def test_format_parse_roundtrip(w):
 def test_format_uses_caret_sugar():
     assert format_word("aaab") == "a^3b"
     assert format_word("ab") == "ab"
+
+
+@given(RUN_LISTS)
+def test_caret_text_reads_as_its_spelling(runs):
+    text, letters = caret(runs), flat(runs)
+    assert parse_word(text) == letters
+    assert format_word(text) == format_word(letters)
+    assert syllables(text) == syllables(letters)
+    assert mirror(text) == mirror(letters)
