@@ -7,7 +7,6 @@ from .errors import (
     FamilyMismatch,
     NotCombinatorial,
     NotIdempotent,
-    NotInScope,
     OrthoxError,
     WindowExceedsBounds,
     WrongFamily,
@@ -26,7 +25,7 @@ from .normal_form import (
     Element,
     Finite,
     GroupElement,
-    InfiniteUpTo,
+    Infinite,
     ReducedWord,
     canonical_inverse,
     equal,

@@ -23,6 +23,7 @@ from . import render as render_mod
 from . import structure as structure_mod
 from .errors import OrthoxError
 from .family import FamilySpec, Relation
+from .words import decimal
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,7 +218,7 @@ def _cmd_image(args) -> str:
     f = _family_from(args)
     image = quotient_mod.inverse_image(nf.reduce(args.word, f))
     if isinstance(image, quotient_mod.CyclicImage):
-        return str(image.value)
+        return decimal(image.value)
     return nf.format_element(image.element)
 
 

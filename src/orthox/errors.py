@@ -14,7 +14,7 @@ class BadSymbol(OrthoxError):
 
 
 class BadExponent(OrthoxError):
-    """Raised for malformed or zero caret exponents."""
+    """Raised for malformed, zero or too long exponents, read or written."""
 
 
 class FamilyMismatch(OrthoxError):
@@ -35,12 +35,3 @@ class WrongFamily(OrthoxError):
 
 class WindowExceedsBounds(OrthoxError):
     """Raised when an eggbox window asks for cells beyond the family bounds."""
-
-
-class NotInScope(OrthoxError):
-    """Raised when a relation system cannot be placed in any supported family.
-
-    Defensive only: every relation over {a, b} holds in the one-element
-    family (both absorptions, order 1), so well-formed input never lands
-    here.  The error survives as a guard for future extensions.
-    """

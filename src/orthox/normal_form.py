@@ -20,11 +20,20 @@ family keeps them meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FamilyMismatch, OrthoxError
 from .family import Combinatorial, FamilySpec, GroupCase
-from .words import Run, balance, format_runs, mirror_runs, parse_runs, run_syllables
+from .words import (
+    Run,
+    balance,
+    decimal,
+    format_runs,
+    mirror_runs,
+    parse_runs,
+    run_syllables,
+)
 
 Part = tuple[int, int]
 
@@ -137,7 +146,17 @@ def power(x: Element, p: int) -> Element:
 
 
 def is_idempotent(x: Element) -> bool:
-    return multiply(x, x) == x
+    """x x = x, read off the letter balance in O(1).
+
+    Every defining relation keeps #a - #b (mod the generator order), and
+    x is idempotent exactly when that balance is 0: g = 0 in a group case;
+    l = k - i + j for a quadruple, which holds for ab and the heads-and-tails
+    (i, k, k - i + j, j), and for no head-only or other tail-only form.
+    """
+    f = x.form
+    if isinstance(f, GroupElement):
+        return f.g == 0
+    return f.l == f.k - f.i + f.j
 
 
 def is_group_element(x: Element) -> bool:
@@ -153,24 +172,22 @@ class Finite:
 
 
 @dataclass(frozen=True)
-class InfiniteUpTo:
-    probe_limit: int
+class Infinite:
+    """The powers of x are pairwise distinct."""
 
 
-def order_of(x: Element, probe_limit: int) -> Finite | InfiniteUpTo:
-    """Size of the cyclic subsemigroup of x, probed up to probe_limit powers."""
-    if probe_limit < 1:
-        raise OrthoxError(f"probe_limit must be >= 1, got {probe_limit}")
-    seen: set[Element] = set()
-    cur = x
-    for step in range(1, probe_limit + 1):
-        if cur in seen:
-            return Finite(step - 1)
-        seen.add(cur)
-        cur = multiply(cur, x)
-    if cur in seen:
-        return Finite(probe_limit)
-    return InfiniteUpTo(probe_limit)
+def order_of(x: Element) -> Finite | Infinite:
+    """Size of the cyclic subsemigroup {x, x^2, ...}, exactly.
+
+    The balance of x^p is p times that of x, so powers of an element of
+    nonzero balance never repeat unless the generator order d wraps the
+    balance: then x^p depends on p g mod d alone and there are
+    d / gcd(g, d) of them.  Balance 0 means x is idempotent.
+    """
+    f = x.form
+    if isinstance(f, GroupElement) and x.family.order is not None:
+        return Finite(x.family.order // math.gcd(f.g, x.family.order))
+    return Finite(1) if is_idempotent(x) else Infinite()
 
 
 def format_element(x: Element) -> str:
@@ -189,15 +206,20 @@ def element_runs(x: Element) -> list[Run]:
 
 
 def element_to_json(x: Element) -> dict:
-    if isinstance(x.form, ReducedWord):
-        f = x.form
-        return {"i": f.i, "k": f.k, "l": f.l, "j": f.j}
-    out: dict = {"g": x.form.g}
-    if x.form.row is not None:
-        out["row"] = x.form.row
-    if x.form.col is not None:
-        out["col"] = x.form.col
-    out["order"] = "inf" if x.family.order is None else x.family.order
+    """JSON object of x; BadExponent if json.dumps could not write a number."""
+    f = x.form
+    if isinstance(f, ReducedWord):
+        out: dict = {"i": f.i, "k": f.k, "l": f.l, "j": f.j}
+    else:
+        out = {"g": f.g}
+        if f.row is not None:
+            out["row"] = f.row
+        if f.col is not None:
+            out["col"] = f.col
+        out["order"] = "inf" if x.family.order is None else x.family.order
+    for value in out.values():
+        if isinstance(value, int):
+            decimal(value)
     return out
 
 
@@ -209,10 +231,23 @@ def sort_key(x: Element):
     return (x.form.g, x.form.row or "", x.form.col or "")
 
 
-def window_elements(family: FamilySpec, bound: int) -> list[Element]:
-    """All canonical elements whose exponents (or balance) fit the bound."""
+def check_bound(bound: int) -> None:
+    """Reject a window bound below 1."""
     if bound < 1:
         raise OrthoxError(f"bound must be >= 1, got {bound}")
+
+
+def in_window(x: Element, bound: int) -> bool:
+    """Whether x is one of window_elements(x.family, bound), in O(1)."""
+    f = x.form
+    if isinstance(f, GroupElement):
+        return x.family.order is not None or -bound <= f.g <= bound
+    return f.k <= bound and f.l <= bound
+
+
+def window_elements(family: FamilySpec, bound: int) -> list[Element]:
+    """All canonical elements whose exponents (or balance) fit the bound."""
+    check_bound(bound)
     out: list[Element] = []
     if isinstance(family, GroupCase):
         if family.order is not None:

@@ -3,8 +3,9 @@
 Collapsing every pair of elements with identical inverse sets turns a
 combinatorial family into the bicyclic semigroup Combinatorial(1, 1) and
 a group-case family into the cyclic group of its generator.  Membership
-in the collapse is decided through those images; window searches over
-the definition x y x = x, y x y = y serve as an independent check.
+in the collapse is decided through those images, and inverse sets come
+from the Clifford-Miller theorem.  The tests check both against searches
+over the definition x y x = x, y x y = y.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from .family import Combinatorial
 from .normal_form import (
     Element,
     GroupElement,
+    check_bound,
     element_runs,
-    multiply,
+    in_window,
     reduce_runs,
     sort_key,
-    window_elements,
 )
+from .structure import col_idempotents, element_at, eggbox_coord, row_idempotents
 
 BICYCLIC = Combinatorial(1, 1)
 
@@ -47,13 +49,26 @@ def inverse_image(x: Element) -> InverseImage:
 
 
 def inverses_window(x: Element, bound: int) -> list[Element]:
-    """All window elements y with x y x = x and y x y = y."""
-    out = []
-    for y in window_elements(x.family, bound):
-        if multiply(multiply(x, y), x) == x and multiply(multiply(y, x), y) == y:
-            out.append(y)
-    out.sort(key=sort_key)
-    return out
+    """All window elements y with x y x = x and y x y = y; O(1) in the bound.
+
+    Group cases: exactly the elements of balance -g.  Combinatorial
+    families are H-trivial, so by the Clifford-Miller theorem x has one
+    inverse at (row of f, column of e) for each idempotent e in its row
+    and each idempotent f in its column: at most four in all.
+    """
+    check_bound(bound)
+    family = x.family
+    if isinstance(x.form, GroupElement):
+        g = -x.form.g if family.order is None else -x.form.g % family.order
+        rows = ("a", "b") if family.tracks_row else (None,)
+        cols = ("a", "b") if family.tracks_col else (None,)
+        found = [Element(family, GroupElement(g, r, c)) for r in rows for c in cols]
+    else:
+        row, col = eggbox_coord(x)
+        found = [element_at(family, eggbox_coord(f).row, eggbox_coord(e).col)
+                 for e in row_idempotents(family, row)
+                 for f in col_idempotents(family, col)]
+    return sorted((y for y in found if in_window(y, bound)), key=sort_key)
 
 
 def inverse_related(x: Element, y: Element) -> bool:

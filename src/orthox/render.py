@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import WindowExceedsBounds
+from .errors import OrthoxError, WindowExceedsBounds
 from .family import FamilySpec, GroupCase
 from .normal_form import Element, GroupElement, format_element
 from .structure import band_diagram, element_at
@@ -30,6 +30,8 @@ class EggboxWindow(NamedTuple):
 def eggbox_grid(family: FamilySpec, window: EggboxWindow,
                 reps: int = 3) -> list[list[str]]:
     """Matrix of cell strings for the eggbox picture over the window."""
+    if reps < 0:
+        raise OrthoxError(f"reps must be >= 0, got {reps}")
     if isinstance(family, GroupCase):
         return _group_grid(family, reps)
     if any(v < 0 for v in window):

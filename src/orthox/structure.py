@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -28,10 +27,12 @@ from .normal_form import (
     Element,
     GroupElement,
     ReducedWord,
+    check_bound,
+    in_window,
     is_idempotent,
     multiply,
+    reduce_runs,
     sort_key,
-    window_elements,
 )
 
 RowKey = Optional[tuple[int, int]]   # None = central row, else head (i, k)
@@ -93,28 +94,32 @@ def related(x: Element, y: Element, rel: str) -> bool:
         raise FamilyMismatch("Green's relations compare elements of one family")
     if rel == "D":
         return True
-    if isinstance(x.form, GroupElement):
-        same_row = x.form.row == y.form.row
-        same_col = x.form.col == y.form.col
-    else:
-        cx, cy = eggbox_coord(x), eggbox_coord(y)
-        same_row = cx.row == cy.row
-        same_col = cx.col == cy.col
+    (row_x, col_x), (row_y, col_y) = _row_col(x), _row_col(y)
     if rel == "R":
-        return same_row
+        return row_x == row_y
     if rel == "L":
-        return same_col
-    return same_row and same_col
+        return col_x == col_y
+    return row_x == row_y and col_x == col_y
 
 
 def idempotents_window(family: FamilySpec, bound: int) -> list[Element]:
-    """Idempotents with exponents <= bound (group cases: all of them)."""
+    """Idempotents with exponents <= bound (group cases: all of them).
+
+    Sorted by sort_key; O(bound).  The idempotents are ab and the two
+    quadruples (i, k, k - i + j, j) of each eggbox row (i, k), as far as
+    the family bounds admit them.
+    """
+    check_bound(bound)
     if isinstance(family, GroupCase):
         rows = ("a", "b") if family.tracks_row else (None,)
         cols = ("a", "b") if family.tracks_col else (None,)
         return [Element(family, GroupElement(0, r, c))
                 for r in rows for c in cols]
-    return [x for x in window_elements(family, bound) if is_idempotent(x)]
+    rows: list[RowKey] = [None]
+    rows += [(i, k) for i in (0, 1) for k in range(i + 1, bound + 1)
+             if _admits(family.left_bound, i, k)]
+    return [e for row in rows for e in row_idempotents(family, row)
+            if in_window(e, bound)]
 
 
 def natural_leq(e: Element, f: Element) -> bool:
@@ -126,48 +131,60 @@ def natural_leq(e: Element, f: Element) -> bool:
 
 
 def band_diagram(family: FamilySpec, bound: int) -> BandDiagram:
-    """Window band: nodes, covering pairs and same-row/column pairs."""
-    nodes = sorted(idempotents_window(family, bound), key=sort_key)
-    below: dict[Element, set[Element]] = {
-        f: {e for e in nodes if e != f and natural_leq(e, f)} for f in nodes}
+    """Window band: nodes, covering pairs and same-row/column pairs.
+
+    A combinatorial idempotent covers exactly one idempotent, and the
+    exponents never fall along covers, so the window's covering pairs are
+    (cover(f), f) with both ends in the window.  Group-case bands are
+    rectangular: no two idempotents are comparable.
+    """
+    nodes = idempotents_window(family, bound)
     order_edges = []
-    for f in nodes:
-        for e in below[f]:
-            if not any(e in below[g] for g in below[f]):
-                order_edges.append((e, f))
-    r_edges = [(x, y) for x, y in itertools.combinations(nodes, 2)
-               if related(x, y, "R")]
-    l_edges = [(x, y) for x, y in itertools.combinations(nodes, 2)
-               if related(x, y, "L")]
+    if isinstance(family, Combinatorial):
+        in_band = set(nodes)
+        order_edges = [(e, f) for f in nodes if (e := _cover(f)) in in_band]
     key = lambda pair: (sort_key(pair[0]), sort_key(pair[1]))
     return BandDiagram(nodes, sorted(order_edges, key=key),
-                       sorted(r_edges, key=key), sorted(l_edges, key=key))
+                       sorted(_pairs_sharing(nodes, 0), key=key),
+                       sorted(_pairs_sharing(nodes, 1), key=key))
 
 
 def local_chain(e: Element, family: FamilySpec, bound: int) -> list[Element]:
-    """Window idempotents below e, sorted from e downward.
+    """e and the window idempotents below it, sorted from e downward.
 
-    Raises if the collected set is not totally ordered; in every family
-    served here it is a chain, which is the uniformity of the band seen
-    at window scale.
+    They form a chain, the uniformity of the band seen at window scale:
+    below a combinatorial idempotent lie its covers' covers, with
+    exponents that never fall, so the chain stops where it leaves the
+    window.  A group-case idempotent has nothing below it.
     """
     if not is_idempotent(e):
         raise NotIdempotent("local_chain starts from an idempotent")
-    members = [x for x in idempotents_window(family, bound) if natural_leq(x, e)]
-    if e not in members:
-        members.append(e)
-    for x, y in itertools.combinations(members, 2):
-        if not (natural_leq(x, y) or natural_leq(y, x)):
-            raise OrthoxError(
-                f"band below {e.form} is not a chain: {x.form} vs {y.form}")
+    check_bound(bound)
+    if e.family != family:
+        raise FamilyMismatch(f"local_chain in {family} got an element of {e.family}")
+    chain = [e]
+    if isinstance(family, Combinatorial):
+        while in_window(lower := _cover(chain[-1]), bound):
+            chain.append(lower)
+    return chain
 
-    def cmp(u: Element, v: Element) -> int:
-        if u == v:
-            return 0
-        return -1 if natural_leq(v, u) else 1
 
-    members.sort(key=cmp_to_key(cmp))
-    return members
+def row_idempotents(family: Combinatorial, row: RowKey) -> list[Element]:
+    """The idempotents in one eggbox row of a combinatorial family."""
+    if row is None:
+        return [element_at(family, None, None)]      # ab
+    i, k = row
+    return [Element(family, ReducedWord(i, k, k - i + j, j)) for j in (0, 1)
+            if _admits(family.right_bound, j, k - i + j)]
+
+
+def col_idempotents(family: Combinatorial, col: ColKey) -> list[Element]:
+    """The idempotents in one eggbox column of a combinatorial family."""
+    if col is None:
+        return [element_at(family, None, None)]      # ab
+    l, j = col
+    return [Element(family, ReducedWord(i, l + i - j, l, j)) for i in (0, 1)
+            if _admits(family.left_bound, i, l + i - j)]
 
 
 def piece_of(x: Element) -> Piece:
@@ -187,3 +204,32 @@ def piece_of(x: Element) -> Piece:
     if j == 1:
         return Piece.LOWER_LEFT
     return Piece.LOWER_RIGHT
+
+
+def _row_col(x: Element) -> tuple:
+    """Row and column key of x: eggbox coordinates, or a group element's ends."""
+    if isinstance(x.form, GroupElement):
+        return x.form.row, x.form.col
+    return eggbox_coord(x)
+
+
+def _pairs_sharing(nodes: list[Element], side: int) -> list[tuple[Element, Element]]:
+    """Pairs of nodes, in node order, with equal row (side 0) or column (1) keys."""
+    groups: dict = {}
+    for x in nodes:
+        groups.setdefault(_row_col(x)[side], []).append(x)
+    return [pair for group in groups.values()
+            for pair in itertools.combinations(group, 2)]
+
+
+def _admits(cap: int | None, flag: int, exponent: int) -> bool:
+    """Whether a head (flag, k) or tail (l, flag) fits the family cap on it."""
+    return not flag or cap is None or exponent <= cap
+
+
+def _cover(e: Element) -> Element:
+    """The idempotent that e covers: a^i b^(k+1) a^(l+1) b^j, reading ab as abab."""
+    f = e.form
+    i, k, l, j = (f.i, f.k, f.l, f.j) if f.k else (1, 1, 1, 1)   # only ab lacks a head
+    runs = [("a", i), ("b", k + 1), ("a", l + 1), ("b", j)]
+    return reduce_runs([run for run in runs if run[1]], e.family)

@@ -12,10 +12,9 @@ carry no adjoined identity.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import BadExponent, BadSymbol, EmptyWord
-
-ALPHABET = "ab"
 
 Run = tuple[str, int]
 
@@ -62,8 +61,23 @@ def parse_runs(text: str) -> list[Run]:
 
 def format_runs(runs: list[Run]) -> str:
     """Caret text for maximal runs ([("a", 3), ("b", 1)] -> "a^3b")."""
-    return "".join(letter if count == 1 else f"{letter}^{count}"
+    return "".join(letter if count == 1 else f"{letter}^{decimal(count)}"
                    for letter, count in runs)
+
+
+def decimal(value: int) -> str:
+    """str(value), or BadExponent past the interpreter's int-to-string limit.
+
+    A caret exponent may have as many digits as str() writes, so a product,
+    power or balance can have more: that is a domain error, not ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise BadExponent(
+            f"the result holds a number of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for writing an int "
+            "(sys.set_int_max_str_digits)") from None
 
 
 def run_syllables(runs: list[Run]) -> list[tuple[int, int]]:

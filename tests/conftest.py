@@ -16,6 +16,15 @@ GROUP_CASES = [GroupCase(la, rb, order)
                for rb in (False, True)
                for order in (None, 1, 2, 3, 5)]
 
+# Every Combinatorial(n, m) with n, m in {1..5, inf} and every group case
+# with order in {1..5, inf}: the families the closed forms are checked on.
+EVERY_FAMILY = ([Combinatorial(n, m) for n in (1, 2, 3, 4, 5, None)
+                 for m in (1, 2, 3, 4, 5, None)]
+                + [GroupCase(la, rb, order)
+                   for la in (False, True)
+                   for rb in (False, True)
+                   for order in (None, 1, 2, 3, 4, 5)])
+
 
 @pytest.fixture(scope="session")
 def free_most():

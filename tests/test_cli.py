@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -140,3 +141,37 @@ def test_output_determinism(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_result_exponent_too_long_exit_1(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("str() writes ints of any length on this interpreter")
+    word = "b^" + "9" * limit
+    for fmt in ("ascii", "json"):
+        code, out, err = run(capsys, "mul", "--family", "inf,inf",
+                             "--format", fmt, word, word)
+        assert (code, out) == (1, "")
+        assert err.startswith("BadExponent:") and str(limit) in err
+        assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "image", "--group-case", "1",
+                         "a" + word[1:] + "a" + word[1:])
+    assert (code, out) == (1, "") and err.startswith("BadExponent:")
+
+
+def test_negative_reps_exit_1(capsys):
+    for family in (["--group-case", "1"], ["--family", "inf,inf"]):
+        code, out, err = run(capsys, "eggbox", *family, "--reps", "-1")
+        assert (code, out) == (1, "")
+        assert "reps must be >= 0" in err
+    code, out, _ = run(capsys, "eggbox", "--group-case", "1", "--reps", "0")
+    assert code == 0 and out.split() == ["H_a:", "|", "H_ab:", "H_ba:", "|", "H_b:"]
+
+
+@pytest.mark.parametrize("command", ["idem", "band"])
+def test_bound_below_1_exit_1(capsys, command):
+    for family in (["--group-case", "1"], ["--group-case", "4", "--order", "3"],
+                   ["--family", "inf,inf"]):
+        code, out, err = run(capsys, command, *family, "--bound", "0")
+        assert (code, out) == (1, "")
+        assert err == "OrthoxError: bound must be >= 1, got 0\n"

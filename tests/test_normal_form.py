@@ -1,3 +1,4 @@
+import sys
 import time
 from functools import reduce as fold
 
@@ -12,7 +13,7 @@ from orthox import (
     Finite,
     GroupCase,
     GroupElement,
-    InfiniteUpTo,
+    Infinite,
     ReducedWord,
     canonical_inverse,
     dual_of,
@@ -29,10 +30,11 @@ from orthox import (
     relations_of,
     window_elements,
 )
+from orthox.errors import BadExponent
 from orthox.normal_form import element_to_json
 from orthox.oracle import all_words
 
-from conftest import COMBINATORIAL_FIVE, RUN_LISTS, caret, flat
+from conftest import COMBINATORIAL_FIVE, EVERY_FAMILY, RUN_LISTS, caret, flat
 
 FREE = Combinatorial(None, None)
 words_st = st.text(alphabet="ab", min_size=1, max_size=14)
@@ -122,10 +124,26 @@ def test_group_element_predicate():
 
 
 def test_order_of():
-    assert order_of(reduce("a", FREE), 20) == InfiniteUpTo(20)
-    assert order_of(reduce("ab", FREE), 20) == Finite(1)
-    assert order_of(reduce("a", GroupCase(True, True, 5)), 20) == Finite(5)
-    assert order_of(reduce("a^2", GroupCase(True, True, 4)), 20) == Finite(2)
+    assert order_of(reduce("a", FREE)) == Infinite()
+    assert order_of(reduce("ab", FREE)) == Finite(1)
+    assert order_of(reduce("a", GroupCase(True, True, 5))) == Finite(5)
+    assert order_of(reduce("a^2", GroupCase(True, True, 4))) == Finite(2)
+
+
+def probed_order(x, steps=40):
+    """Distinct powers of x if they repeat within `steps`, else None."""
+    seen, cur = [], x
+    while cur not in seen and len(seen) < steps:
+        seen.append(cur)
+        cur = multiply(cur, x)
+    return len(seen) if cur in seen else None
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_order_of_matches_probing(family):
+    for x in window_elements(family, 7):
+        probed = probed_order(x)
+        assert order_of(x) == (Infinite() if probed is None else Finite(probed)), x
 
 
 def test_format_examples():
@@ -354,3 +372,19 @@ def test_huge_exponent_power():
     x = power(reduce("a^2b", FREE), N)
     assert format_element(x) == f"a^{N + 1}b"
     assert time.perf_counter() - start < 1.0
+
+
+def test_result_exponent_too_long_to_write():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("str() writes ints of any length on this interpreter")
+    nines = "9" * limit                      # the longest exponent str() writes
+    x = reduce(f"b^{nines}", FREE)
+    assert format_element(x) == f"b^{nines}"
+    square = multiply(x, x)                  # b^(2 * nines): one digit more
+    for write in (format_element, element_to_json):
+        with pytest.raises(BadExponent, match=str(limit)):
+            write(square)
+    g = reduce(f"a^{nines}a^{nines}", GroupCase(False, False, None))
+    with pytest.raises(BadExponent, match=str(limit)):
+        element_to_json(g)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -21,7 +22,10 @@ from orthox.quotient import (
     inverses_window,
 )
 
+from conftest import EVERY_FAMILY
+
 FREE = Combinatorial(None, None)
+N = 10**18
 
 
 def image_name(x):
@@ -102,9 +106,43 @@ def test_inverse_related_examples():
 
 
 def test_image_equality_matches_window_inverse_sets():
-    # the classifier route (images) against the definitional route
-    # (window inverse sets) on all elements with exponents <= 4
+    # the classifier route (images) against the inverse-set route (window
+    # inverse sets, checked against the definition below) on all elements
+    # with exponents <= 4
     window = window_elements(FREE, 4)
     vsets = {x: tuple(inverses_window(x, 8)) for x in window}
     for x, y in itertools.combinations(window, 2):
         assert inverse_related(x, y) == (vsets[x] == vsets[y]), (x.form, y.form)
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_inverses_window_matches_search(family):
+    # every y of the widest window with x y x = x and y x y = y, cut down
+    # to each smaller window: the closed form must miss none and add none
+    wide = window_elements(family, 12)
+    windows = {bound: set(window_elements(family, bound)) for bound in range(1, 13)}
+    for x in window_elements(family, 4):
+        found = [y for y in wide if multiply(multiply(x, y), x) == x
+                 and multiply(multiply(y, x), y) == y]
+        for bound, window in windows.items():
+            assert inverses_window(x, bound) == [y for y in found if y in window]
+
+
+def test_inverses_window_ignores_bound_size():
+    start = time.perf_counter()
+    x = reduce(f"a^{N}b^{N + 3}a", FREE)
+    assert [format_element(y) for y in inverses_window(x, N)] == [
+        "ba^3", "ba^4b", "ab^2a^3", "ab^2a^4b"]
+    big = reduce(f"b^{N}a^{N + 2}", FREE)
+    found = inverses_window(big, N + 3)
+    assert [format_element(y) for y in found] == [
+        f"b^{N + 2}a^{N}", f"b^{N + 2}a^{N + 1}b",
+        f"ab^{N + 3}a^{N}", f"ab^{N + 3}a^{N + 1}b"]
+    for y in found:
+        assert multiply(multiply(big, y), big) == big
+        assert multiply(multiply(y, big), y) == y
+    assert inverses_window(big, N + 2) == found[:2]
+    assert inverses_window(big, N + 1) == []
+    case1 = GroupCase(False, False, None)
+    assert len(inverses_window(reduce(f"a^{N}", case1), N)) == 4
+    assert time.perf_counter() - start < 1.0

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from orthox import (
     reduce,
     window_elements,
 )
+from orthox.normal_form import sort_key
 from orthox.structure import (
     EggboxCoord,
     Piece,
@@ -28,7 +30,11 @@ from orthox.structure import (
     related,
 )
 
+from conftest import EVERY_FAMILY
+
 FREE = Combinatorial(None, None)
+BOUNDS = range(1, 13)
+N = 10**18
 
 
 def names(elements):
@@ -212,3 +218,72 @@ def test_products_of_idempotents_idempotent():
         for e in band:
             for f in band:
                 assert is_idempotent(multiply(e, f))
+
+
+# -- closed forms against their definitions ---------------------------
+
+def idempotents_by_definition(family, bound):
+    return [x for x in window_elements(family, bound) if multiply(x, x) == x]
+
+
+def below_by_definition(e, f):
+    return e != f and multiply(e, f) == e and multiply(f, e) == e
+
+
+def pair_key(pair):
+    return sort_key(pair[0]), sort_key(pair[1])
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_is_idempotent_matches_definition(family):
+    for x in window_elements(family, max(BOUNDS)):
+        assert is_idempotent(x) == (multiply(x, x) == x), x
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_idempotents_window_matches_definition(family):
+    for bound in BOUNDS:
+        assert idempotents_window(family, bound) == idempotents_by_definition(family, bound)
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_band_diagram_matches_definition(family):
+    top = idempotents_by_definition(family, max(BOUNDS))
+    below = {f: {e for e in top if below_by_definition(e, f)} for f in top}
+    for bound in BOUNDS:
+        nodes = idempotents_by_definition(family, bound)
+        window = set(nodes)
+        covers = [(e, f) for f in nodes for e in below[f] & window
+                  if not any(e in below[g] for g in below[f] & window)]
+        diagram = band_diagram(family, bound)
+        assert diagram.nodes == nodes
+        assert diagram.order_edges == sorted(covers, key=pair_key)
+        for edges, rel in ((diagram.r_edges, "R"), (diagram.l_edges, "L")):
+            assert edges == sorted(((x, y) for x, y in itertools.combinations(nodes, 2)
+                                    if related(x, y, rel)), key=pair_key)
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_local_chain_matches_definition(family):
+    top = idempotents_by_definition(family, max(BOUNDS))
+    below = {f: {e for e in top if below_by_definition(e, f)} for f in top}
+    for e in top:
+        for x, y in itertools.combinations(below[e], 2):
+            assert x in below[y] or y in below[x], (e, x, y)   # a chain
+    for bound in BOUNDS:
+        window = set(idempotents_by_definition(family, bound))
+        for e in top:      # e itself may lie outside the window
+            chain = local_chain(e, family, bound)
+            assert chain[0] == e and set(chain[1:]) == below[e] & window
+            assert len(chain) == len(set(chain))
+            for upper, lower in zip(chain, chain[1:]):
+                assert lower in below[upper]
+
+
+def test_closed_forms_ignore_exponent_size():
+    start = time.perf_counter()
+    assert is_idempotent(reduce(f"b^{N}a^{N}", FREE))
+    assert not is_idempotent(reduce(f"b^{N}a^{N + 1}", FREE))
+    assert local_chain(reduce(f"ab^{N}a^{N}b", FREE), FREE, 3) == [
+        reduce(f"ab^{N}a^{N}b", FREE)]
+    assert time.perf_counter() - start < 1.0
