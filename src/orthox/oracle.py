@@ -1,16 +1,30 @@
 """Brute-force validator: bounded bidirectional closure over raw words.
 
-The closure never consults the reduction engine.  It enumerates every
-word up to a length cap, applies each defining relation in both
-directions at every position (staying within the cap) and joins the
-results with union-find.  Two words in one class are provably equal in
-the presented semigroup; two words in different classes are merely "not
-known equal" at this cap.
+The closure never consults the reduction engine.  Two words are joined
+when one defining relation, applied in either direction at one position,
+turns one into the other and neither is longer than the length cap; the
+classes are the connected components of that graph, kept in a
+union-find.  Two words in one class are provably equal in the presented
+semigroup; two words in different classes are merely "not known equal"
+at this cap.
 
-The cap warning is a saturation heuristic: the closure is recomputed
-with the cap raised by two (the largest single-step growth) and the flag
-is set when the restricted partition still changed, meaning the stated
-cap had not converged.
+Each relation is oriented once, from its longer side to its shorter one
+(kept as written on a length tie; a relation with equal sides is
+dropped).  Every edge then joins a word to a rewrite no longer than it,
+so one sweep over the words in length-lex order, rewriting each word
+with every oriented relation at every position, finds each edge exactly
+once, and after the words of length <= cap have been swept the
+union-find holds the closure at the cap.
+
+The cap warning is a saturation heuristic: the same sweep goes on over
+lengths cap + 1 and cap + 2, and the flag is set when that changed the
+partition of the words of length <= max_len, meaning the stated cap had
+not converged.
+
+With the cap check the closure holds about 2 ** (cap + 3) words, so
+caps stop at MAX_CAP; verify_reducer compares every pair of words up to
+max_len, so its lengths stop at MAX_VERIFY_LEN.  Both limits are checked
+before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -23,6 +37,10 @@ from .family import FamilySpec, Relation, relations_of
 from .normal_form import reduce
 
 MergeStep = tuple[str, str, str, int, str]  # word, lhs, rhs, position, result
+
+# At both limits `orthox verify` takes about 4.5 s and 85 MB.
+MAX_CAP = 15           # 2 ** 18 words with the cap check
+MAX_VERIFY_LEN = 10    # 2,046 words, 2.1 million pairs
 
 
 @dataclass
@@ -72,24 +90,64 @@ def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
 def closure_from_relations(rels: list[Relation], max_len: int,
                            cap: int | None = None,
                            check_cap: bool = True) -> ClosureTable:
-    """Same as closure_classes but over an explicit relation list."""
+    """Same as closure_classes but over an explicit relation list.
+
+    merged_via lists the merges made while sweeping the words of length
+    <= cap, each one application of a relation, longer side first.
+    """
     if cap is None:
         cap = max_len + 4
     if not 1 <= max_len <= cap:
         raise OrthoxError(f"need 1 <= max_len <= cap, got {max_len}, {cap}")
-    rules = [(r.lhs, r.rhs) for r in rels]
-    parent, merges = _saturate(rules, cap)
-    classes = _restrict(parent, max_len)
+    if cap > MAX_CAP:
+        raise OrthoxError(f"cap must be <= {MAX_CAP}, got {cap}")
+    rules = [(r.lhs, r.rhs) if len(r.lhs) >= len(r.rhs) else (r.rhs, r.lhs)
+             for r in rels if r.lhs != r.rhs]
+    words = all_words(cap + 2 if check_cap else cap)
+    parent = {w: w for w in words}
+
+    def find(w: str) -> str:
+        root = w
+        while parent[root] != root:
+            root = parent[root]
+        while parent[w] != root:
+            parent[w], w = root, parent[w]
+        return root
+
+    def join(sweep: list[str], merges: list[MergeStep]) -> None:
+        # Every root is kept the length-lex least word of its class, so
+        # find(w) is the class representative.
+        for w in sweep:
+            root = find(w)
+            for src, dst in rules:
+                pos = w.find(src)
+                while pos != -1:
+                    result = w[:pos] + dst + w[pos + len(src):]
+                    other = find(result)
+                    if other != root:
+                        if _lenlex(other) < _lenlex(root):
+                            parent[root], root = other, other
+                        else:
+                            parent[other] = root
+                        merges.append((w, src, dst, pos, result))
+                    pos = w.find(src, pos + 1)
+
+    merges: list[MergeStep] = []
+    in_cap = 2 ** (cap + 1) - 2         # all_words lists lengths in order
+    join(words[:in_cap], merges)
+    classes = {w: find(w) for w in words[:2 ** (max_len + 1) - 2]}
     warning = False
     if check_cap:
-        wider, _ = _saturate(rules, cap + 2)
-        warning = _restrict(wider, max_len) != classes
+        join(words[in_cap:], [])
+        warning = any(find(w) != rep for w, rep in classes.items())
     return ClosureTable(max_len, cap, classes, merges, warning)
 
 
 def verify_reducer(family: FamilySpec, max_len: int,
                    cap: int | None = None) -> VerifyReport:
     """Compare closure equality with reduction-engine equality pairwise."""
+    if max_len > MAX_VERIFY_LEN:
+        raise OrthoxError(f"max_len must be <= {MAX_VERIFY_LEN}, got {max_len}")
     table = closure_classes(family, max_len, cap)
     vocab = sorted(table.classes, key=_lenlex)
     canon = {w: reduce(w, family) for w in vocab}
@@ -114,54 +172,6 @@ def all_words(max_len: int) -> list[str]:
     for length in range(1, max_len + 1):
         out.extend("".join(t) for t in itertools.product("ab", repeat=length))
     return out
-
-
-def _saturate(rules: list[tuple[str, str]], cap: int):
-    parent: dict[str, str] = {}
-
-    def find(w: str) -> str:
-        root = w
-        while parent[root] != root:
-            root = parent[root]
-        while parent[w] != root:
-            parent[w], w = root, parent[w]
-        return root
-
-    words = all_words(cap)
-    for w in words:
-        parent[w] = w
-    merges: list[MergeStep] = []
-    oriented = []
-    for lhs, rhs in rules:
-        oriented.append((lhs, rhs))
-        if lhs != rhs:
-            oriented.append((rhs, lhs))
-    for w in words:
-        for src, dst in oriented:
-            if len(w) - len(src) + len(dst) > cap:
-                continue
-            pos = w.find(src)
-            while pos != -1:
-                result = w[:pos] + dst + w[pos + len(src):]
-                ra, rb = find(w), find(result)
-                if ra != rb:
-                    parent[rb] = ra
-                    merges.append((w, src, dst, pos, result))
-                pos = w.find(src, pos + 1)
-    roots = {w: find(w) for w in words}
-    return roots, merges
-
-
-def _restrict(roots: dict[str, str], max_len: int) -> dict[str, str]:
-    reps: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    for w, root in roots.items():
-        if len(w) <= max_len:
-            members.setdefault(root, []).append(w)
-    for root, ws in members.items():
-        reps[root] = min(ws, key=_lenlex)
-    return {w: reps[root]
-            for w, root in roots.items() if len(w) <= max_len}
 
 
 def _lenlex(w: str):

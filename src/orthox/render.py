@@ -19,6 +19,10 @@ from .family import FamilySpec, GroupCase
 from .normal_form import Element, GroupElement, format_element
 from .structure import band_diagram, element_at
 
+# A window of c edge rows and columns a side has (2c + 1) ** 2 cells.
+MAX_WINDOW_COUNT = 100
+MAX_REPS = 1_000
+
 
 class EggboxWindow(NamedTuple):
     rows_up: int
@@ -29,13 +33,17 @@ class EggboxWindow(NamedTuple):
 
 def eggbox_grid(family: FamilySpec, window: EggboxWindow,
                 reps: int = 3) -> list[list[str]]:
-    """Matrix of cell strings for the eggbox picture over the window."""
-    if reps < 0:
-        raise OrthoxError(f"reps must be >= 0, got {reps}")
+    """Matrix of cell strings for the eggbox picture over the window.
+
+    Window counts stop at MAX_WINDOW_COUNT and reps at MAX_REPS.
+    """
+    if not 0 <= reps <= MAX_REPS:
+        raise OrthoxError(f"reps must be >= 0 and <= {MAX_REPS}, got {reps}")
     if isinstance(family, GroupCase):
         return _group_grid(family, reps)
-    if any(v < 0 for v in window):
-        raise WindowExceedsBounds(f"window counts must be >= 0, got {window}")
+    if not all(0 <= v <= MAX_WINDOW_COUNT for v in window):
+        raise WindowExceedsBounds(
+            f"window counts must be >= 0 and <= {MAX_WINDOW_COUNT}, got {window}")
     n, m = family.right_bound, family.left_bound
     if m is not None and window.rows_up > m - 1:
         raise WindowExceedsBounds(

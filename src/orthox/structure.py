@@ -40,6 +40,10 @@ ColKey = Optional[tuple[int, int]]   # None = central column, else tail (l, j)
 
 GREEN_RELATIONS = ("R", "L", "H", "D")
 
+# Window idempotents and the band are O(bound) in time and memory: at
+# this bound `orthox band --format dot` takes about 1.6 s and 64 MB.
+MAX_WINDOW_BOUND = 10_000
+
 
 class EggboxCoord(NamedTuple):
     row: RowKey
@@ -105,11 +109,13 @@ def related(x: Element, y: Element, rel: str) -> bool:
 def idempotents_window(family: FamilySpec, bound: int) -> list[Element]:
     """Idempotents with exponents <= bound (group cases: all of them).
 
-    Sorted by sort_key; O(bound).  The idempotents are ab and the two
-    quadruples (i, k, k - i + j, j) of each eggbox row (i, k), as far as
-    the family bounds admit them.
+    Sorted by sort_key; O(bound), so bound stops at MAX_WINDOW_BOUND.
+    The idempotents are ab and the two quadruples (i, k, k - i + j, j) of
+    each eggbox row (i, k), as far as the family bounds admit them.
     """
     check_bound(bound)
+    if bound > MAX_WINDOW_BOUND:
+        raise OrthoxError(f"bound must be <= {MAX_WINDOW_BOUND}, got {bound}")
     if isinstance(family, GroupCase):
         rows = ("a", "b") if family.tracks_row else (None,)
         cols = ("a", "b") if family.tracks_col else (None,)
@@ -136,7 +142,8 @@ def band_diagram(family: FamilySpec, bound: int) -> BandDiagram:
     A combinatorial idempotent covers exactly one idempotent, and the
     exponents never fall along covers, so the window's covering pairs are
     (cover(f), f) with both ends in the window.  Group-case bands are
-    rectangular: no two idempotents are comparable.
+    rectangular: no two idempotents are comparable.  The bound is checked
+    by idempotents_window, before anything is built.
     """
     nodes = idempotents_window(family, bound)
     order_edges = []

@@ -175,3 +175,34 @@ def test_bound_below_1_exit_1(capsys, command):
         code, out, err = run(capsys, command, *family, "--bound", "0")
         assert (code, out) == (1, "")
         assert err == "OrthoxError: bound must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--family", "inf,inf", "--cap", "40"],
+     "OrthoxError: cap must be <= 15, got 40"),
+    (["verify", "--family", "inf,inf", "--max-len", "11", "--cap", "12"],
+     "OrthoxError: max_len must be <= 10, got 11"),
+    (["idem", "--family", "inf,inf", "--bound", "10001"],
+     "OrthoxError: bound must be <= 10000, got 10001"),
+    (["band", "--family", "inf,inf", "--bound", "10001", "--format", "dot"],
+     "OrthoxError: bound must be <= 10000, got 10001"),
+    (["eggbox", "--family", "inf,inf", "--window", "0,101,0,0"],
+     "WindowExceedsBounds: window counts must be >= 0 and <= 100, "
+     "got EggboxWindow(rows_up=0, rows_down=101, cols_left=0, cols_right=0)"),
+    (["eggbox", "--group-case", "1", "--reps", "1001"],
+     "OrthoxError: reps must be >= 0 and <= 1000, got 1001"),
+], ids=["cap", "max-len", "idem-bound", "band-bound", "eggbox-window", "eggbox-reps"])
+def test_size_limits_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["idem", "--group-case", "1", "--bound", "10000"], 4),
+    (["band", "--group-case", "4", "--bound", "10000"], 4),
+    (["eggbox", "--family", "inf,inf", "--window", "0,100,0,0"], 101),
+    (["eggbox", "--group-case", "4", "--reps", "1000"], 1),
+])
+def test_size_limits_admit_the_limit(capsys, argv, lines):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == lines
