@@ -11,44 +11,71 @@ at this cap.
 Each relation is oriented once, from its longer side to its shorter one
 (kept as written on a length tie; a relation with equal sides is
 dropped).  Every edge then joins a word to a rewrite no longer than it,
-so one sweep over the words in length-lex order, rewriting each word
-with every oriented relation at every position, finds each edge exactly
-once, and after the words of length <= cap have been swept the
-union-find holds the closure at the cap.
+so sweeping the words of each length up to the cap with every oriented
+relation at every position finds each edge exactly once, and after the
+words of length <= cap have been swept the union-find holds the closure
+at the cap.
+
+The sweep runs on word numbers, not strings.  A word w of length L over
+a = 0, b = 1 is numbered off(L) + bits(w) with off(L) = 2 ** L - 2, so
+numeric order is length-lex order and bin(number + 2) is "0b1" followed
+by the word's bits.  The rule src -> dst (s and d letters, numbered
+bitwise S and D) applied after a prefix P of p letters, followed by a
+suffix Q of q letters, joins
+
+    off(L) + (P << (s + q)) + (S << q) + Q
+    off(L - s + d) + (P << (d + q)) + (D << q) + Q,
+
+so for fixed L, rule and p the edges pair up two arithmetic
+progressions.  The union-find is a flat list in which every root is the
+least number of its class, that is its length-lex least word, and every
+parent is smaller than its child.  Strings are spelled only for the
+words of length <= max_len, to key the classes.
 
 The cap warning is a saturation heuristic: the same sweep goes on over
 lengths cap + 1 and cap + 2, and the flag is set when that changed the
 partition of the words of length <= max_len, meaning the stated cap had
 not converged.
 
-With the cap check the closure holds about 2 ** (cap + 3) words, so
-caps stop at MAX_CAP; verify_reducer compares every pair of words up to
-max_len, so its lengths stop at MAX_VERIFY_LEN.  Both limits are checked
-before anything is enumerated.
+verify_reducer compares closure equality with reducer equality over all
+pairs of words up to max_len by counting: the pairs equal under both,
+under the closure and under the reducer are sums of C(size, 2) over the
+joint classes, the closure classes and the reducer classes.  Only when
+those counts disagree does it list the mismatched pairs, walking the
+pairs within each class, in itertools.combinations order.
+
+With the cap check the union-find holds 2 ** (cap + 3) - 2 words, so
+caps stop at MAX_CAP; listing mismatches can walk every pair of words up
+to max_len, so verify_reducer's lengths stop at MAX_VERIFY_LEN.  Both
+limits, and the relations' alphabet, are checked before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import OrthoxError
 from .family import FamilySpec, Relation, relations_of
 from .normal_form import reduce
 
-MergeStep = tuple[str, str, str, int, str]  # word, lhs, rhs, position, result
+# At both limits `orthox verify` takes 0.4-0.8 s and 26 MB (five families,
+# one 2-vCPU host, Python 3.11).
+MAX_CAP = 15           # a union-find over 2 ** 18 - 2 words with the cap check
+MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
-# At both limits `orthox verify` takes about 4.5 s and 85 MB.
-MAX_CAP = 15           # 2 ** 18 words with the cap check
-MAX_VERIFY_LEN = 10    # 2,046 words, 2.1 million pairs
+_BITS = str.maketrans("ab", "01")
+_LETTERS = str.maketrans("01", "ab")
 
 
 @dataclass
 class ClosureTable:
     max_len: int
     cap: int
-    classes: dict[str, str]           # word -> length-lex minimal representative
-    merged_via: list[MergeStep] = field(repr=False, default_factory=list)
+    classes: dict[str, str]           # word -> length-lex minimal representative,
+                                      # words in length-lex order
     cap_warning: bool = False
 
     def groups(self) -> list[tuple[str, ...]]:
@@ -90,79 +117,68 @@ def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
 def closure_from_relations(rels: list[Relation], max_len: int,
                            cap: int | None = None,
                            check_cap: bool = True) -> ClosureTable:
-    """Same as closure_classes but over an explicit relation list.
-
-    merged_via lists the merges made while sweeping the words of length
-    <= cap, each one application of a relation, longer side first.
-    """
+    """Same as closure_classes but over an explicit relation list."""
     if cap is None:
         cap = max_len + 4
     if not 1 <= max_len <= cap:
         raise OrthoxError(f"need 1 <= max_len <= cap, got {max_len}, {cap}")
     if cap > MAX_CAP:
         raise OrthoxError(f"cap must be <= {MAX_CAP}, got {cap}")
-    rules = [(r.lhs, r.rhs) if len(r.lhs) >= len(r.rhs) else (r.rhs, r.lhs)
-             for r in rels if r.lhs != r.rhs]
-    words = all_words(cap + 2 if check_cap else cap)
-    parent = {w: w for w in words}
+    for r in rels:
+        if not (r.lhs and r.rhs and set(r.lhs + r.rhs) <= {"a", "b"}):
+            raise OrthoxError(f"relation {r.lhs!r} = {r.rhs!r}: each side "
+                              "must be a nonempty word in a and b")
+    oriented = [(r.lhs, r.rhs) if len(r.lhs) >= len(r.rhs) else (r.rhs, r.lhs)
+                for r in rels if r.lhs != r.rhs]
+    rules = [(int(src.translate(_BITS), 2), len(src), int(dst.translate(_BITS), 2), len(dst))
+             for src, dst in oriented]
+    parent = _parents(_offset(cap + 3 if check_cap else cap + 1))
 
-    def find(w: str) -> str:
-        root = w
-        while parent[root] != root:
-            root = parent[root]
-        while parent[w] != root:
-            parent[w], w = root, parent[w]
-        return root
+    def join(lengths: range) -> None:
+        for xs, ys in _edges(rules, lengths):
+            for x, y in zip(xs, ys):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
 
-    def join(sweep: list[str], merges: list[MergeStep]) -> None:
-        # Every root is kept the length-lex least word of its class, so
-        # find(w) is the class representative.
-        for w in sweep:
-            root = find(w)
-            for src, dst in rules:
-                pos = w.find(src)
-                while pos != -1:
-                    result = w[:pos] + dst + w[pos + len(src):]
-                    other = find(result)
-                    if other != root:
-                        if _lenlex(other) < _lenlex(root):
-                            parent[root], root = other, other
-                        else:
-                            parent[other] = root
-                        merges.append((w, src, dst, pos, result))
-                    pos = w.find(src, pos + 1)
+    def roots() -> list[int]:
+        # Parents are smaller than their children, so a root is known
+        # before any word below it.
+        out: list[int] = []
+        for n in range(_offset(max_len + 1)):
+            out.append(n if parent[n] == n else out[parent[n]])
+        return out
 
-    merges: list[MergeStep] = []
-    in_cap = 2 ** (cap + 1) - 2         # all_words lists lengths in order
-    join(words[:in_cap], merges)
-    classes = {w: find(w) for w in words[:2 ** (max_len + 1) - 2]}
+    join(range(1, cap + 1))
+    before = roots()
+    words = [bin(n + 2)[3:].translate(_LETTERS) for n in range(len(before))]
+    classes = {words[n]: words[root] for n, root in enumerate(before)}
     warning = False
     if check_cap:
-        join(words[in_cap:], [])
-        warning = any(find(w) != rep for w, rep in classes.items())
-    return ClosureTable(max_len, cap, classes, merges, warning)
+        join(range(cap + 1, cap + 3))
+        warning = roots() != before
+    return ClosureTable(max_len, cap, classes, warning)
 
 
 def verify_reducer(family: FamilySpec, max_len: int,
                    cap: int | None = None) -> VerifyReport:
-    """Compare closure equality with reduction-engine equality pairwise."""
+    """Compare closure equality with reduction-engine equality on every word pair."""
     if max_len > MAX_VERIFY_LEN:
         raise OrthoxError(f"max_len must be <= {MAX_VERIFY_LEN}, got {max_len}")
     table = closure_classes(family, max_len, cap)
-    vocab = sorted(table.classes, key=_lenlex)
-    canon = {w: reduce(w, family) for w in vocab}
-    agreements = 0
-    reducer_splits: list[tuple[str, str]] = []
-    closure_splits: list[tuple[str, str]] = []
-    for w1, w2 in itertools.combinations(vocab, 2):
-        closure_eq = table.classes[w1] == table.classes[w2]
-        reducer_eq = canon[w1] == canon[w2]
-        if closure_eq == reducer_eq:
-            agreements += 1
-        elif closure_eq:
-            reducer_splits.append((w1, w2))
-        else:
-            closure_splits.append((w1, w2))
+    vocab = list(table.classes)
+    reps = list(table.classes.values())
+    canon = [reduce(w, family) for w in vocab]
+    both = _equal_pairs(zip(reps, canon))
+    reducer_splits = _split_pairs(vocab, reps, canon) if _equal_pairs(reps) > both else []
+    closure_splits = _split_pairs(vocab, canon, reps) if _equal_pairs(canon) > both else []
+    agreements = (len(vocab) * (len(vocab) - 1) // 2
+                  - len(reducer_splits) - len(closure_splits))
     return VerifyReport(agreements, reducer_splits, closure_splits,
                         table.cap_warning)
 
@@ -172,6 +188,48 @@ def all_words(max_len: int) -> list[str]:
     for length in range(1, max_len + 1):
         out.extend("".join(t) for t in itertools.product("ab", repeat=length))
     return out
+
+
+def _parents(size: int) -> list[int]:
+    """A union-find over the word numbers below size, each its own root."""
+    return list(range(size))
+
+
+def _edges(rules, lengths: range):
+    """Pairs of ranges that zip to every rule application on these lengths."""
+    for length in lengths:
+        for src, s, dst, d in rules:
+            for q in range(length - s + 1):
+                p = length - s - q
+                x = _offset(length) + (src << q)
+                y = _offset(length - s + d) + (dst << q)
+                if p <= q:       # few prefixes: walk the suffixes in runs
+                    for prefix in range(1 << p):
+                        x0, y0 = x + (prefix << (s + q)), y + (prefix << (d + q))
+                        yield range(x0, x0 + (1 << q)), range(y0, y0 + (1 << q))
+                else:            # few suffixes: walk the prefixes in strides
+                    for suffix in range(1 << q):
+                        yield (range(x + suffix, x + (1 << (p + s + q)), 1 << (s + q)),
+                               range(y + suffix, y + (1 << (p + d + q)), 1 << (d + q)))
+
+
+def _equal_pairs(keys) -> int:
+    return sum(k * (k - 1) // 2 for k in Counter(keys).values())
+
+
+def _split_pairs(vocab: list[str], joined: list, told: list) -> list[tuple[str, str]]:
+    """Word pairs equal under joined but not under told, in combinations order."""
+    groups: dict[object, list[int]] = {}
+    for n, key in enumerate(joined):
+        groups.setdefault(key, []).append(n)
+    pairs = sorted((i, j) for group in groups.values()
+                   for i, j in itertools.combinations(group, 2) if told[i] != told[j])
+    return [(vocab[i], vocab[j]) for i, j in pairs]
+
+
+def _offset(length: int) -> int:
+    """The number of the first word of this length: all shorter words count."""
+    return 2 ** length - 2
 
 
 def _lenlex(w: str):

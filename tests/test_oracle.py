@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from orthox import Combinatorial, GroupCase, OrthoxError, Relation, reduce, relations_of
@@ -5,6 +8,7 @@ from orthox import oracle
 from orthox.oracle import (
     MAX_CAP,
     MAX_VERIFY_LEN,
+    VerifyReport,
     all_words,
     closure_classes,
     closure_from_relations,
@@ -67,12 +71,12 @@ def test_monotone_completeness():
                 assert large.same_class(w1, w2)
 
 
-def test_soundness_every_merge_respects_reducer():
-    table = closure_classes(Combinatorial(3, 2), 6, 10, check_cap=False)
-    for word, _, _, _, result in table.merged_via:
-        if len(word) <= 6 and len(result) <= 6:
-            assert reduce(word, Combinatorial(3, 2)) == \
-                reduce(result, Combinatorial(3, 2))
+@pytest.mark.parametrize("family", [Combinatorial(3, 2), GroupCase(True, False, 3)], ids=str)
+def test_soundness_every_class_respects_reducer(family):
+    table = closure_classes(family, 6, 10, check_cap=False)
+    assert len(table.classes) == 2 ** 7 - 2
+    for word, rep in table.classes.items():
+        assert reduce(word, family) == reduce(rep, family), word
 
 
 def test_determinism():
@@ -214,24 +218,28 @@ def test_sweep_matches_reference_on_user_presentations(rels):
     assert_matches_reference(rels)
 
 
-def test_merges_apply_the_longer_side():
-    rels = [Relation("a", "aba"), Relation("ab", "ba")]
-    table = closure_from_relations(rels, 3, 5, check_cap=False)
-    assert table.merged_via
-    for word, src, dst, pos, result in table.merged_via:
-        assert (src, dst) in (("aba", "a"), ("ab", "ba"))
-        assert word[pos:pos + len(src)] == src
-        assert result == word[:pos] + dst + word[pos + len(src):]
+def test_longer_side_first_on_a_short_side_first_presentation():
+    # Swept as written, a -> aba would grow words past the cap.
+    assert_matches_reference([Relation("a", "aba"), Relation("ab", "ba")], [(3, 5)])
 
 
-def _no_enumeration(monkeypatch):
-    def refuse(max_len):
-        raise AssertionError(f"enumerated words up to length {max_len}")
-    monkeypatch.setattr(oracle, "all_words", refuse)
+@pytest.mark.parametrize("rel", [Relation("ab", ""), Relation("", "a"),
+                                 Relation("a^2", "a"), Relation("AB", "ab")],
+                         ids=["empty-rhs", "empty-lhs", "caret", "upper-case"])
+def test_relation_sides_must_be_words_in_a_and_b(monkeypatch, rel):
+    _no_allocation(monkeypatch)
+    with pytest.raises(OrthoxError, match=re.escape(f"relation {rel.lhs!r} = {rel.rhs!r}")):
+        closure_from_relations(FREE_AXIOMS + [rel], 3, 5)
+
+
+def _no_allocation(monkeypatch):
+    def refuse(size):
+        raise AssertionError(f"allocated a union-find over {size} words")
+    monkeypatch.setattr(oracle, "_parents", refuse)
 
 
 def test_cap_limit_rejected_before_enumeration(monkeypatch):
-    _no_enumeration(monkeypatch)
+    _no_allocation(monkeypatch)
     for cap in (MAX_CAP + 1, 40):
         with pytest.raises(OrthoxError, match=f"cap must be <= {MAX_CAP}"):
             closure_classes(FREE, 5, cap)
@@ -242,9 +250,47 @@ def test_cap_limit_rejected_before_enumeration(monkeypatch):
 
 
 def test_verify_length_limit_rejected_before_enumeration(monkeypatch):
-    _no_enumeration(monkeypatch)
+    _no_allocation(monkeypatch)
     with pytest.raises(OrthoxError, match=f"max_len must be <= {MAX_VERIFY_LEN}"):
         verify_reducer(FREE, MAX_VERIFY_LEN + 1, MAX_CAP)
     with pytest.raises(OrthoxError, match=f"max_len must be <= {MAX_VERIFY_LEN}"):
         verify_reducer(FREE, MAX_VERIFY_LEN + 1)
 
+
+# -- reference: verify_reducer walking every pair, as it was before counting
+
+def _reference_verify(family, max_len, cap):
+    table = closure_classes(family, max_len, cap)
+    vocab = sorted(table.classes, key=lambda w: (len(w), w))
+    canon = {w: oracle.reduce(w, family) for w in vocab}
+    agreements = 0
+    reducer_splits, closure_splits = [], []
+    for w1, w2 in itertools.combinations(vocab, 2):
+        closure_eq = table.classes[w1] == table.classes[w2]
+        reducer_eq = canon[w1] == canon[w2]
+        if closure_eq == reducer_eq:
+            agreements += 1
+        elif closure_eq:
+            reducer_splits.append((w1, w2))
+        else:
+            closure_splits.append((w1, w2))
+    return VerifyReport(agreements, reducer_splits, closure_splits, table.cap_warning)
+
+
+@pytest.mark.parametrize("family, max_len, cap", [
+    (Combinatorial(3, 2), 5, 9),
+    (GroupCase(False, False, 5), 6, 8),    # cap too small: closure splits
+], ids=str)
+def test_counting_compare_matches_pairwise_walk(family, max_len, cap):
+    report = verify_reducer(family, max_len, cap)
+    assert report == _reference_verify(family, max_len, cap)
+    assert bool(report.closure_splits_reducer) == isinstance(family, GroupCase)
+
+
+def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch):
+    real = oracle.reduce
+    monkeypatch.setattr(oracle, "reduce",
+                        lambda word, family: real("a" if word == "aa" else word, family))
+    report = verify_reducer(FREE, 5, 9)
+    assert report.reducer_splits_closure and report.closure_splits_reducer
+    assert report == _reference_verify(FREE, 5, 9)
