@@ -13,7 +13,7 @@ the first/last letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .family import (
@@ -22,48 +22,45 @@ from .family import (
     GroupCase,
     Relation,
     order_gcd,
+    relations_of,
 )
 from .normal_form import ReducedWord, reduce
-from .words import balance, parse_runs
 
 FREE_MOST = Combinatorial(None, None)
+FREE_GROUP = GroupCase(False, False, None)
 
 
-@dataclass(frozen=True)
-class Redundant:
+class _Verdict:
     def __str__(self):
-        return "Redundant"
+        """The class name, then any bounds in parentheses: "Both(3,2)"."""
+        args = ",".join(map(str, astuple(self)))
+        return type(self).__name__ + (f"({args})" if args else "")
 
 
 @dataclass(frozen=True)
-class RightBound:
+class Redundant(_Verdict):
+    pass
+
+
+@dataclass(frozen=True)
+class RightBound(_Verdict):
     n: int
 
-    def __str__(self):
-        return f"RightBound({self.n})"
-
 
 @dataclass(frozen=True)
-class LeftBound:
+class LeftBound(_Verdict):
     m: int
 
-    def __str__(self):
-        return f"LeftBound({self.m})"
-
 
 @dataclass(frozen=True)
-class Both:
+class Both(_Verdict):
     n: int
     m: int
 
-    def __str__(self):
-        return f"Both({self.n},{self.m})"
-
 
 @dataclass(frozen=True)
-class Impossible:
-    def __str__(self):
-        return "Impossible"
+class Impossible(_Verdict):
+    pass
 
 
 RelationClass = Redundant | RightBound | LeftBound | Both | Impossible
@@ -76,8 +73,8 @@ def classify_relation(u: str, v: str) -> RelationClass:
     assert isinstance(ru, ReducedWord) and isinstance(rv, ReducedWord)
     if ru == rv:
         return Redundant()
-    if _shape(ru) != _shape(rv):
-        return Impossible()
+    # The invariants tell the shapes apart too: k - i is 0 exactly without
+    # a head, and l - j is 0 exactly without a tail or at ab.
     if (ru.k - ru.i, ru.l - ru.j) != (rv.k - rv.i, rv.l - rv.j):
         return Impossible()
     head_flip = ru.i != rv.i
@@ -92,15 +89,10 @@ def classify_relation(u: str, v: str) -> RelationClass:
 
 
 def canonical_relations(verdict: RelationClass) -> list[Relation]:
-    """The normalized relation(s) a classified verdict stands for."""
-    out: list[Relation] = []
-    if isinstance(verdict, (RightBound, Both)):
-        n = verdict.n
-        out.append(Relation("a" * (n + 1) + "b", "a" * n))
-    if isinstance(verdict, (LeftBound, Both)):
-        m = verdict.m
-        out.append(Relation("a" + "b" * (m + 1), "b" * m))
-    return out
+    """The bound relation(s) a classified verdict stands for, as relations_of spells them."""
+    n = verdict.n if isinstance(verdict, (RightBound, Both)) else None
+    m = verdict.m if isinstance(verdict, (LeftBound, Both)) else None
+    return relations_of(Combinatorial(n, m))[len(relations_of(FREE_MOST)):]
 
 
 def infer_family(rels: Sequence[Relation]) -> FamilySpec:
@@ -118,22 +110,8 @@ def infer_family(rels: Sequence[Relation]) -> FamilySpec:
         ns = [v.n for v in verdicts if isinstance(v, (RightBound, Both))]
         ms = [v.m for v in verdicts if isinstance(v, (LeftBound, Both))]
         return Combinatorial(min(ns) if ns else None, min(ms) if ms else None)
-    absorb_left = False
-    absorb_right = False
-    deltas = []
-    for r in rels:
-        u, v = parse_runs(r.lhs), parse_runs(r.rhs)
-        if u[0][0] != v[0][0]:
-            absorb_right = True
-        if u[-1][0] != v[-1][0]:
-            absorb_left = True
-        deltas.append(balance(u) - balance(v))
-    return GroupCase(absorb_left, absorb_right, order_gcd(deltas))
-
-
-def _shape(r: ReducedWord) -> str:
-    if r.l == 0:
-        return "head"
-    if r.k == 0:
-        return "tail"
-    return "full"
+    pairs = [(reduce(r.lhs, FREE_GROUP).form, reduce(r.rhs, FREE_GROUP).form)
+             for r in rels]
+    return GroupCase(any(u.col != v.col for u, v in pairs),
+                     any(u.row != v.row for u, v in pairs),
+                     order_gcd([u.g - v.g for u, v in pairs]))

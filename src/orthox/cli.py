@@ -2,7 +2,8 @@
 
 Subcommands: reduce, mul, inv, eq, green, idem, eggbox, band, image,
 classify, infer, verify.  Families are selected with --family n,m (use
-"inf" for an infinite bound) or --group-case 1..4 with --order d|inf.
+"inf" for an infinite bound) or --group-case 1..4 with --order d|inf;
+--order belongs to --group-case alone.  --format dot is band's only.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Output goes to
 stdout, diagnostics to stderr; identical arguments produce identical
 bytes.
@@ -51,12 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="combinatorial family bounds, e.g. 3,inf")
     fam.add_argument("--group-case", type=int, choices=(1, 2, 3, 4),
                      metavar="C", help="group-generator case 1..4")
-    fam.add_argument("--order", default="inf", metavar="D",
+    fam.add_argument("--order", metavar="D",
                      help="generator order for --group-case (default inf)")
 
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", default="ascii",
-                     choices=("ascii", "dot", "json"))
+    fmt.add_argument("--format", default="ascii", choices=("ascii", "json"))
 
     p = sub.add_parser("reduce", parents=[fam, fmt],
                        help="canonical form of a word")
@@ -101,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="representatives per group-case cell")
     p.set_defaults(handler=_cmd_eggbox)
 
-    p = sub.add_parser("band", parents=[fam, fmt],
+    p = sub.add_parser("band", parents=[fam],
                        help="idempotent band diagram")
+    p.add_argument("--format", default="ascii", choices=("ascii", "dot", "json"))
     p.add_argument("--bound", type=int, default=3)
     p.set_defaults(handler=_cmd_band)
 
@@ -135,10 +136,12 @@ def _family_from(args) -> FamilySpec:
     if args.family is not None and args.group_case is not None:
         raise OrthoxError("pass exactly one of --family and --group-case")
     if args.family is not None:
+        if args.order is not None:
+            raise OrthoxError("--order applies to --group-case only")
         return family_mod.parse_combinatorial(args.family)
     if args.group_case is not None:
-        return family_mod.group_case(args.group_case,
-                                     family_mod.parse_bound(args.order))
+        order = "inf" if args.order is None else args.order
+        return family_mod.group_case(args.group_case, family_mod.parse_bound(order))
     raise OrthoxError("a family selector is required "
                       "(--family n,m or --group-case C)")
 

@@ -11,7 +11,10 @@ covers the four families whose generators lie in subgroups; there the base
 presentation gains ``b^2 a^2 = ba`` and optionally the absorptions
 ``a^2 b = a`` / ``a b^2 = b`` and a finite generator order.
 
-Bounds and orders use ``None`` for "infinite".
+Bounds and orders use ``None`` for "infinite".  Each family object owns
+its eggbox shape: ``Combinatorial.admits_head`` / ``admits_tail`` say which
+rows and columns the bounds leave, ``GroupCase.rows`` / ``cols`` which
+subgroup cells the absorptions leave.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ class Combinatorial:
             if value is not None and value < 1:
                 raise OrthoxError(f"bound must be >= 1 or None, got {value}")
 
+    def admits_head(self, i: int, k: int) -> bool:
+        """Whether the head a^i b^k fits the left bound: a b^k needs k <= m."""
+        return not i or self.left_bound is None or k <= self.left_bound
+
+    def admits_tail(self, l: int, j: int) -> bool:
+        """Whether the tail a^l b^j fits the right bound: a^l b needs l <= n."""
+        return not j or self.right_bound is None or l <= self.right_bound
+
 
 @dataclass(frozen=True)
 class GroupCase:
@@ -70,9 +81,8 @@ class GroupCase:
 
     @property
     def case_number(self) -> int:
-        return {(False, False): 1, (False, True): 2,
-                (True, False): 3, (True, True): 4}[
-                    (self.absorb_left, self.absorb_right)]
+        flags = (self.absorb_left, self.absorb_right)
+        return next(case for case, f in _CASE_FLAGS.items() if f == flags)
 
     @property
     def tracks_row(self) -> bool:
@@ -83,6 +93,30 @@ class GroupCase:
     @property
     def tracks_col(self) -> bool:
         return not self.absorb_left
+
+    @property
+    def rows(self) -> tuple[str | None, ...]:
+        """Eggbox row keys: the first letters, or None when untracked."""
+        return ("a", "b") if self.tracks_row else (None,)
+
+    @property
+    def cols(self) -> tuple[str | None, ...]:
+        """Eggbox column keys: the last letters, or None when untracked."""
+        return ("a", "b") if self.tracks_col else (None,)
+
+    def residue(self, g: int) -> int:
+        """The balance g as an element coordinate: reduced mod a finite order."""
+        return g if self.order is None else g % self.order
+
+    def cell(self, first: str, last: str) -> tuple[str | None, str | None]:
+        """Row and column key of a word with these first and last letters."""
+        return (first if self.tracks_row else None,
+                last if self.tracks_col else None)
+
+
+# (absorb_left, absorb_right) of group cases 1..4.
+_CASE_FLAGS = {1: (False, False), 2: (False, True),
+               3: (True, False), 4: (True, True)}
 
 
 FamilySpec = Combinatorial | GroupCase
@@ -118,21 +152,21 @@ def dual_of(family: FamilySpec) -> FamilySpec:
 def describe(family: FamilySpec) -> str:
     if isinstance(family, Combinatorial):
         return "Combinatorial({},{})".format(
-            _bound_str(family.right_bound), _bound_str(family.left_bound))
+            bound_value(family.right_bound), bound_value(family.left_bound))
     return "GroupCase({}, order={})".format(
-        family.case_number, _bound_str(family.order))
+        family.case_number, bound_value(family.order))
 
 
 def family_to_json(family: FamilySpec) -> dict:
     if isinstance(family, Combinatorial):
         return {"kind": "combinatorial",
-                "right_bound": _bound_json(family.right_bound),
-                "left_bound": _bound_json(family.left_bound)}
+                "right_bound": bound_value(family.right_bound),
+                "left_bound": bound_value(family.left_bound)}
     return {"kind": "group",
             "case": family.case_number,
             "absorb_left": family.absorb_left,
             "absorb_right": family.absorb_right,
-            "order": _bound_json(family.order)}
+            "order": bound_value(family.order)}
 
 
 def parse_bound(text: str) -> int | None:
@@ -158,11 +192,9 @@ def parse_combinatorial(text: str) -> Combinatorial:
 
 def group_case(case: int, order: int | None) -> GroupCase:
     """Build a GroupCase from its 1..4 case number."""
-    flags = {1: (False, False), 2: (False, True),
-             3: (True, False), 4: (True, True)}
-    if case not in flags:
+    if case not in _CASE_FLAGS:
         raise OrthoxError(f"group case must be 1..4, got {case}")
-    return GroupCase(*flags[case], order)
+    return GroupCase(*_CASE_FLAGS[case], order)
 
 
 def letter_balance(word: str) -> int:
@@ -170,11 +202,8 @@ def letter_balance(word: str) -> int:
     return balance(parse_runs(word))
 
 
-def _bound_str(value: int | None) -> str:
-    return "inf" if value is None else str(value)
-
-
-def _bound_json(value: int | None):
+def bound_value(value: int | None) -> int | str:
+    """A bound or order as written out: the integer, or "inf" for None."""
     return "inf" if value is None else value
 
 

@@ -16,6 +16,10 @@ drops to (0, k-1), a tail (l, 1) with l > n drops to (l-1, 0).
 Group-case elements carry the letter balance g = #a - #b (a residue when
 the generator order is finite) plus the first and last letters where the
 family keeps them meaningful.
+
+Eggbox addressing lives here: element_at builds the element at a row
+(head) and column (tail), and window_rows / window_cols list the rows and
+columns that fit a window bound.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FamilyMismatch, OrthoxError
-from .family import Combinatorial, FamilySpec, GroupCase
+from .family import Combinatorial, FamilySpec, GroupCase, bound_value
 from .words import (
     Run,
     balance,
@@ -92,32 +96,24 @@ def reduce(word: str, family: FamilySpec) -> Element:
 def reduce_runs(runs: list[Run], family: FamilySpec) -> Element:
     """Canonical form of a word given as maximal runs; O(number of runs)."""
     if isinstance(family, GroupCase):
-        g = balance(runs)
-        if family.order is not None:
-            g %= family.order
-        return Element(family, GroupElement(
-            g,
-            runs[0][0] if family.tracks_row else None,
-            runs[-1][0] if family.tracks_col else None))
+        return Element(family, GroupElement(family.residue(balance(runs)),
+                                            *family.cell(runs[0][0], runs[-1][0])))
     acc: tuple[Part | None, Part | None] | None = None
     for k, l in run_syllables(runs):
         syl = _bounded(family, *_abridge(k, l))
         acc = syl if acc is None else _bounded(family, *_combine(*acc, *syl))
     assert acc is not None
-    return _element(family, *acc)
+    return element_at(family, *acc)
 
 
 def multiply(x: Element, y: Element) -> Element:
     if x.family != y.family:
         raise FamilyMismatch(f"cannot multiply across families {x.family} and {y.family}")
     if isinstance(x.form, GroupElement):
-        g = x.form.g + y.form.g
-        order = x.family.order
-        if order is not None:
-            g %= order
+        g = x.family.residue(x.form.g + y.form.g)
         return Element(x.family, GroupElement(g, x.form.row, y.form.col))
     parts = _combine(x.form.head, x.form.tail, y.form.head, y.form.tail)
-    return _element(x.family, *_bounded(x.family, *parts))
+    return element_at(x.family, *_bounded(x.family, *parts))
 
 
 def equal(x: Element, y: Element) -> bool:
@@ -216,7 +212,7 @@ def element_to_json(x: Element) -> dict:
             out["row"] = f.row
         if f.col is not None:
             out["col"] = f.col
-        out["order"] = "inf" if x.family.order is None else x.family.order
+        out["order"] = bound_value(x.family.order)
     for value in out.values():
         if isinstance(value, int):
             decimal(value)
@@ -248,35 +244,41 @@ def in_window(x: Element, bound: int) -> bool:
 def window_elements(family: FamilySpec, bound: int) -> list[Element]:
     """All canonical elements whose exponents (or balance) fit the bound."""
     check_bound(bound)
-    out: list[Element] = []
     if isinstance(family, GroupCase):
         if family.order is not None:
             gs = range(family.order)
         else:
             gs = range(-bound, bound + 1)
-        rows = ("a", "b") if family.tracks_row else (None,)
-        cols = ("a", "b") if family.tracks_col else (None,)
-        for g in gs:
-            for row in rows:
-                for col in cols:
-                    out.append(Element(family, GroupElement(g, row, col)))
-        return out
-    n, m = family.right_bound, family.left_bound
-    k_top = {0: bound, 1: min(bound, m) if m is not None else bound}
-    l_top = {0: bound, 1: min(bound, n) if n is not None else bound}
-    for i in (0, 1):
-        for k in range(i + 1, k_top[i] + 1):
-            out.append(Element(family, ReducedWord(i, k, 0, 0)))
-    for j in (0, 1):
-        for l in range(max(1, j), l_top[j] + 1):
-            out.append(Element(family, ReducedWord(0, 0, l, j)))
-    for i in (0, 1):
-        for k in range(i + 1, k_top[i] + 1):
-            for j in (0, 1):
-                for l in range(j + 1, l_top[j] + 1):
-                    out.append(Element(family, ReducedWord(i, k, l, j)))
+        return [Element(family, GroupElement(g, row, col))
+                for g in gs for row in family.rows for col in family.cols]
+    cols = window_cols(family, bound)
+    out = [element_at(family, row, col)
+           for row in window_rows(family, bound) for col in cols]
     out.sort(key=sort_key)
     return out
+
+
+def window_rows(family: Combinatorial, bound: int) -> list[Part | None]:
+    """Eggbox rows with k <= bound: the central row None, then heads (i, k)."""
+    return [None] + [(i, k) for i in (0, 1) for k in range(i + 1, bound + 1)
+                     if family.admits_head(i, k)]
+
+
+def window_cols(family: Combinatorial, bound: int) -> list[Part | None]:
+    """Eggbox columns with l <= bound: the central column None, then tails (l, j)."""
+    return [None] + [(l, j) for j in (0, 1) for l in range(j + 1, bound + 1)
+                     if family.admits_tail(l, j)]
+
+
+def element_at(family: Combinatorial, row: Part | None, col: Part | None) -> Element:
+    """The element in eggbox row `row` (its head) and column `col` (its tail).
+
+    None is the central row or column.  They meet at ab, which the combine
+    kernel may also pass as the lone tail (1, 1).
+    """
+    i, k = row or (0, 0)
+    l, j = col or ((0, 0) if row else (1, 1))
+    return Element(family, ReducedWord(i, k, l, j))
 
 
 # -- the combine kernel ------------------------------------------------
@@ -335,12 +337,6 @@ def _bounded(family: Combinatorial, p: Part | None,
     if q is not None and n is not None and q[1] == 1 and q[0] > n:
         q = (q[0] - 1, 0)
     return (p, q)
-
-
-def _element(family: Combinatorial, p: Part | None, q: Part | None) -> Element:
-    i, k = p if p is not None else (0, 0)
-    l, j = q if q is not None else (0, 0)
-    return Element(family, ReducedWord(i, k, l, j))
 
 
 # -- group-case canonical words ---------------------------------------

@@ -18,12 +18,13 @@ from .normal_form import (
     Element,
     GroupElement,
     check_bound,
+    element_at,
     element_runs,
     in_window,
     reduce_runs,
     sort_key,
 )
-from .structure import col_idempotents, element_at, eggbox_coord, row_idempotents
+from .structure import col_idempotents, eggbox_coord, row_idempotents
 
 BICYCLIC = Combinatorial(1, 1)
 
@@ -59,10 +60,9 @@ def inverses_window(x: Element, bound: int) -> list[Element]:
     check_bound(bound)
     family = x.family
     if isinstance(x.form, GroupElement):
-        g = -x.form.g if family.order is None else -x.form.g % family.order
-        rows = ("a", "b") if family.tracks_row else (None,)
-        cols = ("a", "b") if family.tracks_col else (None,)
-        found = [Element(family, GroupElement(g, r, c)) for r in rows for c in cols]
+        g = family.residue(-x.form.g)
+        found = [Element(family, GroupElement(g, r, c))
+                 for r in family.rows for c in family.cols]
     else:
         row, col = eggbox_coord(x)
         found = [element_at(family, eggbox_coord(f).row, eggbox_coord(e).col)

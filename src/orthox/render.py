@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .errors import OrthoxError, WindowExceedsBounds
 from .family import FamilySpec, GroupCase
-from .normal_form import Element, GroupElement, format_element
-from .structure import band_diagram, element_at
+from .normal_form import Element, GroupElement, element_at, format_element
+from .structure import band_diagram
 
 # A window of c edge rows and columns a side has (2c + 1) ** 2 cells.
 MAX_WINDOW_COUNT = 100
@@ -45,10 +45,10 @@ def eggbox_grid(family: FamilySpec, window: EggboxWindow,
         raise WindowExceedsBounds(
             f"window counts must be >= 0 and <= {MAX_WINDOW_COUNT}, got {window}")
     n, m = family.right_bound, family.left_bound
-    if m is not None and window.rows_up > m - 1:
+    if not family.admits_head(1, window.rows_up + 1):
         raise WindowExceedsBounds(
             f"rows above the center stop at a b^{m}; asked for {window.rows_up}")
-    if n is not None and window.cols_left > n - 1:
+    if not family.admits_tail(window.cols_left + 1, 1):
         raise WindowExceedsBounds(
             f"columns left of the center stop at a^{n} b; asked for {window.cols_left}")
     rows = [(1, k) for k in range(window.rows_up + 1, 1, -1)]
@@ -120,26 +120,14 @@ def band_text(family: FamilySpec, bound: int) -> str:
 
 
 def _cell_label(row: str | None, col: str | None) -> str:
-    if row is not None and col is not None:
-        return {("a", "a"): "H_a", ("a", "b"): "H_ab",
-                ("b", "a"): "H_ba", ("b", "b"): "H_b"}[(row, col)]
-    tracked = row if row is not None else col
-    if tracked is None:
-        return "H_a"
-    return "H_a" if tracked == "a" else "H_b"
+    """H_ and the tracked end letters, one when they agree: H_a, H_ab, H_ba, H_b."""
+    ends = (row or "") + (col or "")
+    return "H_" + (ends if len(set(ends)) > 1 else ends[:1] or "a")
 
 
 def _group_grid(family: GroupCase, reps: int) -> list[list[str]]:
-    rows = ["a", "b"] if family.tracks_row else [None]
-    cols = ["a", "b"] if family.tracks_col else [None]
-    matrix = []
-    for r in rows:
-        line = []
-        for c in cols:
-            label = _cell_label(r, c)
-            line.append(f"{label}: " + ", ".join(_cell_reps(family, r, c, reps)))
-        matrix.append(line)
-    return matrix
+    return [[f"{_cell_label(r, c)}: " + ", ".join(_cell_reps(family, r, c, reps))
+             for c in family.cols] for r in family.rows]
 
 
 def _cell_reps(family: GroupCase, row: str | None, col: str | None,

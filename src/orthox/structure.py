@@ -5,7 +5,9 @@ Eggbox keys use None for the central row (the R-class of a) and the
 central column (the L-class of b, which contains ab).  Edge rows are the
 head pairs (i, k) of canonical forms, edge columns the tail pairs (l, j).
 Window enumerations cap the exponents k and l, so a window is a
-rectangular sub-grid of the eggbox diagram.
+rectangular sub-grid of the eggbox diagram.  The family objects say which
+rows and columns exist; normal_form's element_at, window_rows and
+window_cols address them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from .normal_form import (
     GroupElement,
     ReducedWord,
     check_bound,
+    element_at,
     in_window,
     is_idempotent,
     multiply,
     reduce_runs,
     sort_key,
+    window_rows,
 )
 
 RowKey = Optional[tuple[int, int]]   # None = central row, else head (i, k)
@@ -74,20 +78,7 @@ def eggbox_coord(x: Element) -> EggboxCoord:
     form = x.form
     if not isinstance(form, ReducedWord):
         raise NotCombinatorial("eggbox coordinates exist for combinatorial elements only")
-    row: RowKey = None if (form.i, form.k) == (0, 0) else (form.i, form.k)
-    col: ColKey = None if (form.l, form.j) in ((0, 0), (1, 1)) else (form.l, form.j)
-    return EggboxCoord(row, col)
-
-
-def element_at(family: Combinatorial, row: RowKey, col: ColKey) -> Element:
-    """The unique element sitting at an eggbox coordinate."""
-    i, k = row if row is not None else (0, 0)
-    l, j = col if col is not None else ((0, 0) if row is not None else (1, 1))
-    if row is None and col is None:
-        return Element(family, ReducedWord(0, 0, 1, 1))
-    if col is None:
-        return Element(family, ReducedWord(i, k, 0, 0))
-    return Element(family, ReducedWord(i, k, l, j))
+    return EggboxCoord(form.head, None if form.tail == (1, 1) else form.tail)  # ab: center
 
 
 def related(x: Element, y: Element, rel: str) -> bool:
@@ -117,15 +108,10 @@ def idempotents_window(family: FamilySpec, bound: int) -> list[Element]:
     if bound > MAX_WINDOW_BOUND:
         raise OrthoxError(f"bound must be <= {MAX_WINDOW_BOUND}, got {bound}")
     if isinstance(family, GroupCase):
-        rows = ("a", "b") if family.tracks_row else (None,)
-        cols = ("a", "b") if family.tracks_col else (None,)
         return [Element(family, GroupElement(0, r, c))
-                for r in rows for c in cols]
-    rows: list[RowKey] = [None]
-    rows += [(i, k) for i in (0, 1) for k in range(i + 1, bound + 1)
-             if _admits(family.left_bound, i, k)]
-    return [e for row in rows for e in row_idempotents(family, row)
-            if in_window(e, bound)]
+                for r in family.rows for c in family.cols]
+    return [e for row in window_rows(family, bound)
+            for e in row_idempotents(family, row) if in_window(e, bound)]
 
 
 def natural_leq(e: Element, f: Element) -> bool:
@@ -182,7 +168,7 @@ def row_idempotents(family: Combinatorial, row: RowKey) -> list[Element]:
         return [element_at(family, None, None)]      # ab
     i, k = row
     return [Element(family, ReducedWord(i, k, k - i + j, j)) for j in (0, 1)
-            if _admits(family.right_bound, j, k - i + j)]
+            if family.admits_tail(k - i + j, j)]
 
 
 def col_idempotents(family: Combinatorial, col: ColKey) -> list[Element]:
@@ -191,7 +177,7 @@ def col_idempotents(family: Combinatorial, col: ColKey) -> list[Element]:
         return [element_at(family, None, None)]      # ab
     l, j = col
     return [Element(family, ReducedWord(i, l + i - j, l, j)) for i in (0, 1)
-            if _admits(family.left_bound, i, l + i - j)]
+            if family.admits_head(i, l + i - j)]
 
 
 def piece_of(x: Element) -> Piece:
@@ -227,11 +213,6 @@ def _pairs_sharing(nodes: list[Element], side: int) -> list[tuple[Element, Eleme
         groups.setdefault(_row_col(x)[side], []).append(x)
     return [pair for group in groups.values()
             for pair in itertools.combinations(group, 2)]
-
-
-def _admits(cap: int | None, flag: int, exponent: int) -> bool:
-    """Whether a head (flag, k) or tail (l, flag) fits the family cap on it."""
-    return not flag or cap is None or exponent <= cap
 
 
 def _cover(e: Element) -> Element:

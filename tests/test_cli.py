@@ -136,6 +136,24 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["reduce", "ab"], ["mul", "ab", "ba"], ["inv", "ab"], ["idem"], ["eggbox"],
+    ["verify", "--max-len", "2"],
+], ids=lambda argv: argv[0])
+def test_format_dot_is_band_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--family", "1,1", "--format", "dot", *command[1:]])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
+def test_order_needs_group_case(capsys):
+    code, out, err = run(capsys, "reduce", "--family", "1,1", "--order", "5", "aab")
+    assert (code, out, err) == (1, "", "OrthoxError: --order applies to --group-case only\n")
+    # Without --order a group case keeps its infinite default.
+    assert run(capsys, "reduce", "--group-case", "1", "a^7b^2")[:2] == (0, "a^6b\n")
+
+
 def test_output_determinism(capsys):
     args = ["band", "--family", "3,2", "--bound", "3", "--format", "dot"]
     first = run(capsys, *args)

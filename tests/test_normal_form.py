@@ -1,3 +1,4 @@
+import itertools
 import sys
 import time
 from functools import reduce as fold
@@ -31,7 +32,7 @@ from orthox import (
     window_elements,
 )
 from orthox.errors import BadExponent
-from orthox.normal_form import element_to_json
+from orthox.normal_form import element_to_json, in_window, sort_key
 from orthox.oracle import all_words
 
 from conftest import COMBINATORIAL_FIVE, EVERY_FAMILY, RUN_LISTS, caret, flat
@@ -144,6 +145,30 @@ def test_order_of_matches_probing(family):
     for x in window_elements(family, 7):
         probed = probed_order(x)
         assert order_of(x) == (Infinite() if probed is None else Finite(probed)), x
+
+
+COMBINATORIAL_EVERY = [f for f in EVERY_FAMILY if isinstance(f, Combinatorial)]
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_EVERY, ids=str)
+def test_window_elements_match_reduced_words(family):
+    # Every element is a^i b^k a^l b^j with i, j in {0, 1}; reducing all of
+    # them with k, l <= 9 reaches every element of the windows to bound 8.
+    exps = itertools.product((0, 1), range(10), range(10), (0, 1))
+    reduced = {reduce("a" * i + "b" * k + "a" * l + "b" * j, family)
+               for i, k, l, j in exps if i + k + l + j}
+    for bound in range(1, 9):
+        in_it = sorted((x for x in reduced if in_window(x, bound)), key=sort_key)
+        assert window_elements(family, bound) == in_it, bound
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_EVERY, ids=str)
+def test_bound_relations_match_admitted_heads_and_tails(family):
+    # The reducer applies the bounds inline; the family predicates name them.
+    # Exponent 1 spells ab, which has no head: heads (1, k) start at k = 2.
+    for e in range(2, 13):
+        assert (reduce(f"ab^{e}", family).form.head == (1, e)) == family.admits_head(1, e)
+        assert (reduce(f"a^{e}b", family).form.tail == (e, 1)) == family.admits_tail(e, 1)
 
 
 def test_format_examples():

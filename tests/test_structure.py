@@ -53,10 +53,12 @@ def test_eggbox_coord_rejects_group_elements():
         eggbox_coord(reduce("a", GroupCase(False, False, None)))
 
 
-def test_element_at_inverts_coord():
-    for x in window_elements(Combinatorial(3, 2), 5):
+@pytest.mark.parametrize(
+    "family", [f for f in EVERY_FAMILY if isinstance(f, Combinatorial)], ids=str)
+def test_element_at_inverts_coord(family):
+    for x in window_elements(family, 5):
         row, col = eggbox_coord(x)
-        assert element_at(Combinatorial(3, 2), row, col) == x
+        assert element_at(family, row, col) == x
 
 
 def test_related_examples():
