@@ -141,7 +141,8 @@ def _family_from(args) -> FamilySpec:
         return family_mod.parse_combinatorial(args.family)
     if args.group_case is not None:
         order = "inf" if args.order is None else args.order
-        return family_mod.group_case(args.group_case, family_mod.parse_bound(order))
+        return family_mod.group_case(args.group_case,
+                                     family_mod.parse_bound(order, "--order"))
     raise OrthoxError("a family selector is required "
                       "(--family n,m or --group-case C)")
 

@@ -169,16 +169,19 @@ def family_to_json(family: FamilySpec) -> dict:
             "order": bound_value(family.order)}
 
 
-def parse_bound(text: str) -> int | None:
-    """Parse a CLI bound: a positive integer or the literal "inf"."""
+def parse_bound(text: str, name: str = "bound") -> int | None:
+    """Parse a CLI bound: a positive integer or the literal "inf".
+
+    name is what an error message blames, such as the option it came from.
+    """
     if text.strip().lower() == "inf":
         return None
     try:
         value = int(text)
     except ValueError:
-        raise OrthoxError(f"bound must be a positive integer or 'inf', got {text!r}")
+        raise OrthoxError(f"{name} must be a positive integer or 'inf', got {text!r}")
     if value < 1:
-        raise OrthoxError(f"bound must be >= 1, got {value}")
+        raise OrthoxError(f"{name} must be >= 1, got {value}")
     return value
 
 
@@ -187,7 +190,8 @@ def parse_combinatorial(text: str) -> Combinatorial:
     parts = text.split(",")
     if len(parts) != 2:
         raise OrthoxError(f"family selector must look like 'n,m', got {text!r}")
-    return Combinatorial(parse_bound(parts[0]), parse_bound(parts[1]))
+    return Combinatorial(parse_bound(parts[0], "--family bound"),
+                         parse_bound(parts[1], "--family bound"))
 
 
 def group_case(case: int, order: int | None) -> GroupCase:

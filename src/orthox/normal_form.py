@@ -32,6 +32,7 @@ from .family import Combinatorial, FamilySpec, GroupCase, bound_value
 from .words import (
     Run,
     balance,
+    check_runs,
     decimal,
     format_runs,
     mirror_runs,
@@ -90,11 +91,20 @@ class Element:
 
 def reduce(word: str, family: FamilySpec) -> Element:
     """Canonical form of a word (caret notation accepted) in the family."""
-    return reduce_runs(parse_runs(word), family)
+    return _reduce(parse_runs(word), family)
 
 
 def reduce_runs(runs: list[Run], family: FamilySpec) -> Element:
-    """Canonical form of a word given as maximal runs; O(number of runs)."""
+    """Canonical form of a word given as maximal runs; O(number of runs).
+
+    OrthoxError unless runs are maximal runs (see words.check_runs).
+    """
+    check_runs(runs)
+    return _reduce(runs, family)
+
+
+def _reduce(runs: list[Run], family: FamilySpec) -> Element:
+    """reduce_runs on runs known to be maximal."""
     if isinstance(family, GroupCase):
         return Element(family, GroupElement(family.residue(balance(runs)),
                                             *family.cell(runs[0][0], runs[-1][0])))
@@ -124,7 +134,7 @@ def equal(x: Element, y: Element) -> bool:
 
 def canonical_inverse(x: Element) -> Element:
     """The inverse obtained by mirroring the canonical word of x."""
-    return reduce_runs(mirror_runs(element_runs(x)), x.family)
+    return _reduce(mirror_runs(element_runs(x)), x.family)
 
 
 def power(x: Element, p: int) -> Element:

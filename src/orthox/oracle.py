@@ -26,11 +26,25 @@ suffix Q of q letters, joins
     off(L) + (P << (s + q)) + (S << q) + Q
     off(L - s + d) + (P << (d + q)) + (D << q) + Q,
 
-so for fixed L, rule and p the edges pair up two arithmetic
-progressions.  The union-find is a flat list in which every root is the
-least number of its class, that is its length-lex least word, and every
-parent is smaller than its child.  Strings are spelled only for the
-words of length <= max_len, to key the classes.
+so for fixed L, rule and p (or q) the edges pair up two arithmetic
+progressions: a block, read as a pair of list slices.  The union-find is
+a flat list in which every root is the least number of its class, that
+is its length-lex least word, and every parent is smaller than its
+child.  Strings are spelled only for the words of length <= max_len, to
+key the classes.
+
+The union-find takes whole blocks, lengths in ascending order.  When
+length L starts, every shorter word points at its root.  A shrinking
+rule's rewrites are shorter than L, so the slice of their parents is a
+list of roots, and one slice assignment labels every word of the block
+with a root it is joined to.  A second pass compares each block's labels
+with its rewrites' labels, one list compare per block; only a block that
+differs (a word whose rewrites lie in two classes, or a rule between
+words of one length, which only user presentations have) adds its
+(label, label) pairs to a set of merges.  The merges are union-found,
+and, after a length that merged classes, every word up to L is
+re-pointed at its root by a chunked gather.  Python-level work is per block
+and per merge, not per edge.
 
 The cap warning is a saturation heuristic: the same sweep goes on over
 lengths cap + 1 and cap + 2, and the flag is set when that changed the
@@ -61,10 +75,12 @@ from .errors import OrthoxError
 from .family import FamilySpec, Relation, relations_of
 from .normal_form import reduce
 
-# At both limits `orthox verify` takes 0.4-0.8 s and 26 MB (five families,
-# one 2-vCPU host, Python 3.11).
+# At both limits `orthox verify` takes 0.15-0.35 s and 26-27 MB (five
+# families, one shared 2-vCPU host, Python 3.11).
 MAX_CAP = 15           # a union-find over 2 ** 18 - 2 words with the cap check
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
+
+_CHUNK = 4096          # words re-pointed per temporary list
 
 _BITS = str.maketrans("ab", "01")
 _LETTERS = str.maketrans("01", "ab")
@@ -133,35 +149,17 @@ def closure_from_relations(rels: list[Relation], max_len: int,
     rules = [(int(src.translate(_BITS), 2), len(src), int(dst.translate(_BITS), 2), len(dst))
              for src, dst in oriented]
     parent = _parents(_offset(cap + 3 if check_cap else cap + 1))
-
-    def join(lengths: range) -> None:
-        for xs, ys in _edges(rules, lengths):
-            for x, y in zip(xs, ys):
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-
-    def roots() -> list[int]:
-        # Parents are smaller than their children, so a root is known
-        # before any word below it.
-        out: list[int] = []
-        for n in range(_offset(max_len + 1)):
-            out.append(n if parent[n] == n else out[parent[n]])
-        return out
-
-    join(range(1, cap + 1))
-    before = roots()
-    words = [bin(n + 2)[3:].translate(_LETTERS) for n in range(len(before))]
+    for length in range(1, cap + 1):
+        _sweep(parent, rules, length)
+    hi = _offset(max_len + 1)
+    before = parent[:hi]
+    words = [bin(n + 2)[3:].translate(_LETTERS) for n in range(hi)]
     classes = {words[n]: words[root] for n, root in enumerate(before)}
     warning = False
     if check_cap:
-        join(range(cap + 1, cap + 3))
-        warning = roots() != before
+        for length in (cap + 1, cap + 2):
+            _sweep(parent, rules, length)
+        warning = parent[:hi] != before
     return ClosureTable(max_len, cap, classes, warning)
 
 
@@ -195,22 +193,63 @@ def _parents(size: int) -> list[int]:
     return list(range(size))
 
 
-def _edges(rules, lengths: range):
-    """Pairs of ranges that zip to every rule application on these lengths."""
-    for length in lengths:
-        for src, s, dst, d in rules:
-            for q in range(length - s + 1):
-                p = length - s - q
-                x = _offset(length) + (src << q)
-                y = _offset(length - s + d) + (dst << q)
-                if p <= q:       # few prefixes: walk the suffixes in runs
-                    for prefix in range(1 << p):
-                        x0, y0 = x + (prefix << (s + q)), y + (prefix << (d + q))
-                        yield range(x0, x0 + (1 << q)), range(y0, y0 + (1 << q))
-                else:            # few suffixes: walk the prefixes in strides
-                    for suffix in range(1 << q):
-                        yield (range(x + suffix, x + (1 << (p + s + q)), 1 << (s + q)),
-                               range(y + suffix, y + (1 << (p + d + q)), 1 << (d + q)))
+def _sweep(parent: list[int], rules, length: int) -> None:
+    """Join every word of this length to its rewrites, a block at a time.
+
+    On entry every shorter word points at its root; on return every word
+    up to this length does.
+    """
+    # A shrinking rule's rewrites are shorter words, so their slice is a
+    # list of roots; copying it labels each word with a rewrite's root.
+    shrinking = list(_blocks([(src, s, dst, d) for src, s, dst, d in rules if s > d], length))
+    for xs, ys in shrinking:
+        parent[xs] = parent[ys]
+    # A block whose labels differ from its rewrites' labels (a word with
+    # rewrites in two classes, or a rule between words of one length)
+    # names the classes that merge.
+    ties = _blocks([(src, s, dst, d) for src, s, dst, d in rules if s == d], length)
+    merges: set[tuple[int, int]] = set()
+    for xs, ys in itertools.chain(shrinking, ties):
+        labels, targets = parent[xs], parent[ys]
+        if labels != targets:
+            merges.update(zip(labels, targets))
+    if not merges:
+        return
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in merges:
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)
+    for a, b in merges:
+        parent[a], parent[b] = find(a), find(b)
+    # Every label was a root, and each of those that moved now points at
+    # its final root, so a word's root is its parent's parent.  A chunk at
+    # a time keeps the copies small near MAX_CAP.
+    hi = _offset(length + 1)
+    for start in range(0, hi, _CHUNK):
+        chunk = slice(start, min(start + _CHUNK, hi))
+        parent[chunk] = map(parent.__getitem__, parent[chunk])
+
+
+def _blocks(rules, length: int):
+    """Pairs of slices that line up every rule application on words of this length."""
+    for src, s, dst, d in rules:
+        for q in range(length - s + 1):
+            p = length - s - q
+            x = _offset(length) + (src << q)
+            y = _offset(length - s + d) + (dst << q)
+            if p <= q:       # few prefixes: one contiguous block per prefix
+                for prefix in range(1 << p):
+                    x0, y0 = x + (prefix << (s + q)), y + (prefix << (d + q))
+                    yield slice(x0, x0 + (1 << q)), slice(y0, y0 + (1 << q))
+            else:            # few suffixes: one strided block per suffix
+                for suffix in range(1 << q):
+                    yield (slice(x + suffix, x + (1 << (p + s + q)), 1 << (s + q)),
+                           slice(y + suffix, y + (1 << (p + d + q)), 1 << (d + q)))
 
 
 def _equal_pairs(keys) -> int:

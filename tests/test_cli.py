@@ -154,6 +154,14 @@ def test_order_needs_group_case(capsys):
     assert run(capsys, "reduce", "--group-case", "1", "a^7b^2")[:2] == (0, "a^6b\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--group-case", "1", "--order", "0", "--bound", "3"], "--order must be >= 1, got 0"),
+    (["--family", "0,1"], "--family bound must be >= 1, got 0"),
+], ids=["order", "family"])
+def test_bound_errors_name_their_option(capsys, argv, message):
+    assert run(capsys, "idem", *argv) == (1, "", f"OrthoxError: {message}\n")
+
+
 def test_output_determinism(capsys):
     args = ["band", "--family", "3,2", "--bound", "3", "--format", "dot"]
     first = run(capsys, *args)

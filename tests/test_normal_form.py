@@ -31,8 +31,8 @@ from orthox import (
     relations_of,
     window_elements,
 )
-from orthox.errors import BadExponent
-from orthox.normal_form import element_to_json, in_window, sort_key
+from orthox.errors import BadExponent, OrthoxError
+from orthox.normal_form import element_to_json, in_window, reduce_runs, sort_key
 from orthox.oracle import all_words
 
 from conftest import COMBINATORIAL_FIVE, EVERY_FAMILY, RUN_LISTS, caret, flat
@@ -68,6 +68,19 @@ def test_reduce_examples_group():
     assert (one.form.g, one.form.row, one.form.col) == (2, "a", "b")
     four = reduce("a^5", GroupCase(True, True, 5))
     assert four.form.g == 0
+
+
+@pytest.mark.parametrize("runs", [
+    [("a", 1), ("a", 2)],     # was read as ab^2, though reduce("aaa") is a^3
+    [("a", -2), ("b", 1)],    # was read as ab^4
+    [("c", 1)],               # was read as a
+    [],                       # was a bare IndexError
+], ids=["neighbours-share-a-letter", "negative-count", "letter-c", "no-runs"])
+@pytest.mark.parametrize("family", [FREE, GroupCase(False, False, 3)], ids=str)
+def test_reduce_runs_rejects_runs_that_are_not_maximal(family, runs):
+    assert reduce_runs([("b", 1), ("a", 2), ("b", 1)], family) == reduce("ba^2b", family)
+    with pytest.raises(OrthoxError):
+        reduce_runs(runs, family)
 
 
 def test_multiply_examples():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -200,6 +201,102 @@ def test_sweep_matches_two_saturation_reference(family):
 
 
 FREE_AXIOMS = [Relation("aba", "a"), Relation("bab", "b"), Relation("aabb", "ab")]
+
+
+# -- reference: the per-edge integer sweep, as it was before block unions
+
+def _edge_ranges(rules, lengths):
+    """Pairs of ranges that zip to every rule application on these lengths."""
+    off = lambda length: 2 ** length - 2
+    for length in lengths:
+        for src, s, dst, d in rules:
+            for q in range(length - s + 1):
+                p = length - s - q
+                x = off(length) + (src << q)
+                y = off(length - s + d) + (dst << q)
+                if p <= q:
+                    for prefix in range(1 << p):
+                        x0, y0 = x + (prefix << (s + q)), y + (prefix << (d + q))
+                        yield range(x0, x0 + (1 << q)), range(y0, y0 + (1 << q))
+                else:
+                    for suffix in range(1 << q):
+                        yield (range(x + suffix, x + (1 << (p + s + q)), 1 << (s + q)),
+                               range(y + suffix, y + (1 << (p + d + q)), 1 << (d + q)))
+
+
+def per_edge_closure(rels, max_len, cap, check_cap):
+    """(classes, cap_warning) from two path-halving finds per edge."""
+    oriented = [(r.lhs, r.rhs) if len(r.lhs) >= len(r.rhs) else (r.rhs, r.lhs)
+                for r in rels if r.lhs != r.rhs]
+    bits = str.maketrans("ab", "01")
+    rules = [(int(src.translate(bits), 2), len(src), int(dst.translate(bits), 2), len(dst))
+             for src, dst in oriented]
+    parent = list(range(2 ** (cap + 3 if check_cap else cap + 1) - 2))
+
+    def join(lengths):
+        for xs, ys in _edge_ranges(rules, lengths):
+            for x, y in zip(xs, ys):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+
+    def roots():
+        out = []
+        for n in range(2 ** (max_len + 1) - 2):
+            out.append(n if parent[n] == n else out[parent[n]])
+        return out
+
+    join(range(1, cap + 1))
+    before = roots()
+    words = [bin(n + 2)[3:].translate(str.maketrans("01", "ab")) for n in range(len(before))]
+    classes = {words[n]: words[root] for n, root in enumerate(before)}
+    warning = False
+    if check_cap:
+        join(range(cap + 1, cap + 3))
+        warning = roots() != before
+    return classes, warning
+
+
+# The verify workload's (max_len, cap) slots.
+VERIFY_SLOTS = [(5, 9), (5, 10), (6, 10), (5, 11), (6, 11)]
+PER_EDGE_CASES = [
+    *[(family, max_len, cap) for family in (Combinatorial(3, 2), GroupCase(True, False, 2))
+      for max_len, cap in VERIFY_SLOTS],
+    (GroupCase(False, False, 5), 6, 10),       # the only one with a cap warning
+    ("ab=ba", 5, 9),
+    (Combinatorial(2, 3), 10, 15),
+]
+
+
+@pytest.mark.parametrize("family, max_len, cap", PER_EDGE_CASES, ids=str)
+def test_block_sweep_matches_per_edge_sweep(family, max_len, cap):
+    rels = FREE_AXIOMS + [Relation("ab", "ba")] if family == "ab=ba" else relations_of(family)
+    for check_cap in (False, True):
+        table = closure_from_relations(rels, max_len, cap, check_cap)
+        expected = per_edge_closure(rels, max_len, cap, check_cap)
+        assert (table.classes, table.cap_warning) == expected, check_cap
+    assert table.cap_warning == (family == GroupCase(False, False, 5))
+
+
+def test_block_sweep_matches_per_edge_sweep_on_random_presentations():
+    # Random relations merge classes in orders the families never do, such
+    # as two merges in one length that chain one root through another.
+    rng = random.Random(12)
+    for _ in range(200):
+        rels = [Relation(*("".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                           for _ in range(2)))
+                for _ in range(rng.randint(1, 4))]
+        max_len = rng.randint(2, 5)
+        cap = rng.randint(max_len, 8)
+        for check_cap in (False, True):
+            table = closure_from_relations(rels, max_len, cap, check_cap)
+            expected = per_edge_closure(rels, max_len, cap, check_cap)
+            assert (table.classes, table.cap_warning) == expected, (rels, max_len, cap)
 
 
 @pytest.mark.parametrize("rels", [
