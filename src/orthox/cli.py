@@ -245,7 +245,8 @@ def _cmd_infer(args) -> str:
 
 def _cmd_verify(args) -> str:
     f = _family_from(args)
-    report = oracle_mod.verify_reducer(f, args.max_len, args.cap)
+    report = oracle_mod.verify_reducer(f, args.max_len, args.cap,
+                                       names=("--max-len", "--cap"))
     if args.format == "json":
         return json.dumps(report.to_json())
     payload = report.to_json()

@@ -3,18 +3,36 @@
 The closure never consults the reduction engine.  Two words are joined
 when one defining relation, applied in either direction at one position,
 turns one into the other and neither is longer than the length cap; the
-classes are the connected components of that graph, kept in a
-union-find.  Two words in one class are provably equal in the presented
-semigroup; two words in different classes are merely "not known equal"
-at this cap.
+classes are the connected components of that graph.  Two words in one
+class are provably equal in the presented semigroup; two words in
+different classes are merely "not known equal" at this cap.
 
-Each relation is oriented once, from its longer side to its shorter one
-(kept as written on a length tie; a relation with equal sides is
-dropped).  Every edge then joins a word to a rewrite no longer than it,
-so sweeping the words of each length up to the cap with every oriented
-relation at every position finds each edge exactly once, and after the
-words of length <= cap have been swept the union-find holds the closure
-at the cap.
+Most inputs are settled by a certificate, without the sweep below.
+rewriting.complete runs a shortlex Knuth-Bendix completion of the
+relations in which each rule lhs -> rhs carries a peak P, the longest
+word on one derivation of lhs = rhs by single defining-relation steps:
+|lhs| for an oriented relation, and for a rule from a critical pair on an
+overlap word the largest |x| + |y| + P(r) over the steps x.lhs(r).y of
+its derivation (the two first steps from the overlap and every step down
+to the two normal forms).  Rewriting never lengthens a word, so when
+completion finishes with max_len + max(P - |lhs|) <= cap, every word of
+length <= max_len reaches its normal form through words no longer than
+the cap: it is joined to its normal form at this cap.  Joined words are
+equal, so they share a normal form; the classes are therefore exactly the
+normal-form classes, and the normal form, the length-lex least word of
+its class, is the representative the union-find would pick.  The same
+holds at cap + 2, so the re-check below would change nothing and the cap
+warning is false.  Completion gives up, and the sweep runs, when a rule's
+slack P - |lhs| exceeds cap - max_len, an lhs grows longer than the cap,
+or the rules pass rewriting.MAX_RULES.  Nothing is kept between calls.
+
+Otherwise the closure is swept into a union-find.  Each relation is
+oriented once, from its longer side to its shorter one (kept as written
+on a length tie; a relation with equal sides is dropped).  Every edge
+then joins a word to a rewrite no longer than it, so sweeping the words
+of each length up to the cap with every oriented relation at every
+position finds each edge exactly once, and after the words of length
+<= cap have been swept the union-find holds the closure at the cap.
 
 The sweep runs on word numbers, not strings.  A word w of length L over
 a = 0, b = 1 is numbered off(L) + bits(w) with off(L) = 2 ** L - 2, so
@@ -51,12 +69,14 @@ lengths cap + 1 and cap + 2, and the flag is set when that changed the
 partition of the words of length <= max_len, meaning the stated cap had
 not converged.
 
-verify_reducer compares closure equality with reducer equality over all
-pairs of words up to max_len by counting: the pairs equal under both,
-under the closure and under the reducer are sums of C(size, 2) over the
-joint classes, the closure classes and the reducer classes.  Only when
-those counts disagree does it list the mismatched pairs, walking the
-pairs within each class, in itertools.combinations order.
+verify_reducer reduces each word from its runs, read off its letters,
+and numbers each distinct answer once.  It compares closure equality with
+reducer equality over all pairs of words up to max_len by counting: the
+pairs equal under both, under the closure and under the reducer are sums
+of C(size, 2) over the joint classes, the closure classes and the
+reducer classes.  Only when those counts disagree does it list the
+mismatched pairs, walking the pairs within each class, in
+itertools.combinations order.
 
 With the cap check the union-find holds 2 ** (cap + 3) - 2 words, so
 caps stop at MAX_CAP; listing mismatches can walk every pair of words up
@@ -73,10 +93,13 @@ from dataclasses import dataclass
 
 from .errors import OrthoxError
 from .family import FamilySpec, Relation, relations_of
-from .normal_form import reduce
+from . import rewriting
+from .normal_form import Element, reduce_runs
 
-# At both limits `orthox verify` takes 0.15-0.35 s and 26-27 MB (five
-# families, one shared 2-vCPU host, Python 3.11).
+# At both limits `orthox verify` takes 0.11-0.15 s and 16-17 MB where the
+# certificate holds (3,2; 1,1; inf,inf) and 0.17-0.29 s and 26-27 MB where
+# it falls back to the sweep (group case 1 order 5, 2 order 2, 4 order 2,
+# 4 inf): fresh processes, one shared 2-vCPU host, Python 3.11.
 MAX_CAP = 15           # a union-find over 2 ** 18 - 2 words with the cap check
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
@@ -134,16 +157,22 @@ def closure_from_relations(rels: list[Relation], max_len: int,
                            cap: int | None = None,
                            check_cap: bool = True) -> ClosureTable:
     """Same as closure_classes but over an explicit relation list."""
-    if cap is None:
-        cap = max_len + 4
-    if not 1 <= max_len <= cap:
-        raise OrthoxError(f"need 1 <= max_len <= cap, got {max_len}, {cap}")
-    if cap > MAX_CAP:
-        raise OrthoxError(f"cap must be <= {MAX_CAP}, got {cap}")
+    cap = _checked_cap(max_len, cap)
     for r in rels:
         if not (r.lhs and r.rhs and set(r.lhs + r.rhs) <= {"a", "b"}):
             raise OrthoxError(f"relation {r.lhs!r} = {r.rhs!r}: each side "
                               "must be a nonempty word in a and b")
+    certified = rewriting.complete([(r.lhs, r.rhs) for r in rels],
+                                   max_slack=cap - max_len, max_lhs=cap)
+    if certified is not None:
+        forms = rewriting.normal_forms(certified, max_len)
+        return ClosureTable(max_len, cap, dict(zip(_spelled(len(forms)), forms)))
+    return _swept_closure(rels, max_len, cap, check_cap)
+
+
+def _swept_closure(rels: list[Relation], max_len: int, cap: int,
+                   check_cap: bool) -> ClosureTable:
+    """The closure table from the block sweep over every word up to the cap."""
     oriented = [(r.lhs, r.rhs) if len(r.lhs) >= len(r.rhs) else (r.rhs, r.lhs)
                 for r in rels if r.lhs != r.rhs]
     rules = [(int(src.translate(_BITS), 2), len(src), int(dst.translate(_BITS), 2), len(dst))
@@ -153,7 +182,7 @@ def closure_from_relations(rels: list[Relation], max_len: int,
         _sweep(parent, rules, length)
     hi = _offset(max_len + 1)
     before = parent[:hi]
-    words = [bin(n + 2)[3:].translate(_LETTERS) for n in range(hi)]
+    words = _spelled(hi)
     classes = {words[n]: words[root] for n, root in enumerate(before)}
     warning = False
     if check_cap:
@@ -163,15 +192,22 @@ def closure_from_relations(rels: list[Relation], max_len: int,
     return ClosureTable(max_len, cap, classes, warning)
 
 
-def verify_reducer(family: FamilySpec, max_len: int,
-                   cap: int | None = None) -> VerifyReport:
-    """Compare closure equality with reduction-engine equality on every word pair."""
+def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
+                   names: tuple[str, str] = ("max_len", "cap")) -> VerifyReport:
+    """Compare closure equality with reduction-engine equality on every word pair.
+
+    names are what a range error blames for max_len and cap, such as the
+    options they came from.
+    """
     if max_len > MAX_VERIFY_LEN:
-        raise OrthoxError(f"max_len must be <= {MAX_VERIFY_LEN}, got {max_len}")
+        raise OrthoxError(f"{names[0]} must be <= {MAX_VERIFY_LEN}, got {max_len}")
+    cap = _checked_cap(max_len, cap, *names)
     table = closure_classes(family, max_len, cap)
     vocab = list(table.classes)
     reps = list(table.classes.values())
-    canon = [reduce(w, family) for w in vocab]
+    # Each distinct answer becomes an int once, so the compare hashes ints.
+    ids: dict[Element, int] = {}
+    canon = [ids.setdefault(reduce_runs(_runs(w), family), len(ids)) for w in vocab]
     both = _equal_pairs(zip(reps, canon))
     reducer_splits = _split_pairs(vocab, reps, canon) if _equal_pairs(reps) > both else []
     closure_splits = _split_pairs(vocab, canon, reps) if _equal_pairs(canon) > both else []
@@ -179,6 +215,20 @@ def verify_reducer(family: FamilySpec, max_len: int,
                   - len(reducer_splits) - len(closure_splits))
     return VerifyReport(agreements, reducer_splits, closure_splits,
                         table.cap_warning)
+
+
+def _checked_cap(max_len: int, cap: int | None, max_len_name: str = "max_len",
+                 cap_name: str = "cap") -> int:
+    """The cap, max_len + 4 when None; OrthoxError naming the bound out of range."""
+    if max_len < 1:
+        raise OrthoxError(f"{max_len_name} must be >= 1, got {max_len}")
+    if cap is None:
+        cap, cap_name = max_len + 4, f"{cap_name} (default {max_len_name} + 4)"
+    if max_len > cap:
+        raise OrthoxError(f"{max_len_name} must be <= {cap_name}, got {max_len} > {cap}")
+    if cap > MAX_CAP:
+        raise OrthoxError(f"{cap_name} must be <= {MAX_CAP}, got {cap}")
+    return cap
 
 
 def all_words(max_len: int) -> list[str]:
@@ -252,6 +302,11 @@ def _blocks(rules, length: int):
                            slice(y + suffix, y + (1 << (p + d + q)), 1 << (d + q)))
 
 
+def _runs(word: str) -> list[tuple[str, int]]:
+    """A word's maximal runs, read off its letters."""
+    return [(letter, len(list(group))) for letter, group in itertools.groupby(word)]
+
+
 def _equal_pairs(keys) -> int:
     return sum(k * (k - 1) // 2 for k in Counter(keys).values())
 
@@ -264,6 +319,11 @@ def _split_pairs(vocab: list[str], joined: list, told: list) -> list[tuple[str, 
     pairs = sorted((i, j) for group in groups.values()
                    for i, j in itertools.combinations(group, 2) if told[i] != told[j])
     return [(vocab[i], vocab[j]) for i, j in pairs]
+
+
+def _spelled(count: int) -> list[str]:
+    """The words numbered below count, in number order."""
+    return [bin(n + 2)[3:].translate(_LETTERS) for n in range(count)]
 
 
 def _offset(length: int) -> int:

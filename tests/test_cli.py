@@ -205,9 +205,9 @@ def test_bound_below_1_exit_1(capsys, command):
 
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--family", "inf,inf", "--cap", "40"],
-     "OrthoxError: cap must be <= 15, got 40"),
+     "OrthoxError: --cap must be <= 15, got 40"),
     (["verify", "--family", "inf,inf", "--max-len", "11", "--cap", "12"],
-     "OrthoxError: max_len must be <= 10, got 11"),
+     "OrthoxError: --max-len must be <= 10, got 11"),
     (["idem", "--family", "inf,inf", "--bound", "10001"],
      "OrthoxError: bound must be <= 10000, got 10001"),
     (["band", "--family", "inf,inf", "--bound", "10001", "--format", "dot"],
@@ -221,6 +221,17 @@ def test_bound_below_1_exit_1(capsys, command):
 def test_size_limits_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-len", "0"], "--max-len must be >= 1, got 0"),
+    (["--max-len", "-2", "--cap", "9"], "--max-len must be >= 1, got -2"),
+    (["--max-len", "9", "--cap", "8"], "--max-len must be <= --cap, got 9 > 8"),
+    (["--cap", "16"], "--cap must be <= 15, got 16"),
+], ids=["max-len-0", "max-len-negative", "max-len-above-cap", "cap-16"])
+def test_verify_range_errors_name_their_options(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--family", "3,2", *argv)
+    assert (code, out, err) == (1, "", f"OrthoxError: {message}\n")
 
 
 @pytest.mark.parametrize("argv,lines", [

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from orthox import Combinatorial, GroupCase, OrthoxError, Relation, reduce, relations_of
-from orthox import oracle
+from orthox import oracle, rewriting
 from orthox.oracle import (
     MAX_CAP,
     MAX_VERIFY_LEN,
@@ -97,6 +97,19 @@ def test_parameter_validation():
         closure_classes(FREE, 0, 4)
     with pytest.raises(OrthoxError):
         closure_classes(FREE, 5, 4)
+
+
+def test_range_errors_name_the_bound():
+    with pytest.raises(OrthoxError, match=re.escape("max_len must be >= 1, got 0")):
+        closure_classes(FREE, 0)
+    with pytest.raises(OrthoxError, match=re.escape("max_len must be <= cap, got 5 > 4")):
+        closure_classes(FREE, 5, 4)
+    # A defaulted cap says so.
+    with pytest.raises(OrthoxError,
+                       match=re.escape("cap (default max_len + 4) must be <= 15, got 16")):
+        closure_classes(FREE, 12)
+    with pytest.raises(OrthoxError, match=re.escape("--max-len must be >= 1, got 0")):
+        verify_reducer(FREE, 0, names=("--max-len", "--cap"))
 
 
 def test_verify_report_structure():
@@ -277,7 +290,7 @@ PER_EDGE_CASES = [
 def test_block_sweep_matches_per_edge_sweep(family, max_len, cap):
     rels = FREE_AXIOMS + [Relation("ab", "ba")] if family == "ab=ba" else relations_of(family)
     for check_cap in (False, True):
-        table = closure_from_relations(rels, max_len, cap, check_cap)
+        table = oracle._swept_closure(rels, max_len, cap, check_cap)
         expected = per_edge_closure(rels, max_len, cap, check_cap)
         assert (table.classes, table.cap_warning) == expected, check_cap
     assert table.cap_warning == (family == GroupCase(False, False, 5))
@@ -294,7 +307,7 @@ def test_block_sweep_matches_per_edge_sweep_on_random_presentations():
         max_len = rng.randint(2, 5)
         cap = rng.randint(max_len, 8)
         for check_cap in (False, True):
-            table = closure_from_relations(rels, max_len, cap, check_cap)
+            table = oracle._swept_closure(rels, max_len, cap, check_cap)
             expected = per_edge_closure(rels, max_len, cap, check_cap)
             assert (table.classes, table.cap_warning) == expected, (rels, max_len, cap)
 
@@ -356,10 +369,10 @@ def test_verify_length_limit_rejected_before_enumeration(monkeypatch):
 
 # -- reference: verify_reducer walking every pair, as it was before counting
 
-def _reference_verify(family, max_len, cap):
+def _reference_verify(family, max_len, cap, reducer=reduce):
     table = closure_classes(family, max_len, cap)
     vocab = sorted(table.classes, key=lambda w: (len(w), w))
-    canon = {w: oracle.reduce(w, family) for w in vocab}
+    canon = {w: reducer(w, family) for w in vocab}
     agreements = 0
     reducer_splits, closure_splits = [], []
     for w1, w2 in itertools.combinations(vocab, 2):
@@ -385,9 +398,112 @@ def test_counting_compare_matches_pairwise_walk(family, max_len, cap):
 
 
 def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch):
-    real = oracle.reduce
-    monkeypatch.setattr(oracle, "reduce",
-                        lambda word, family: real("a" if word == "aa" else word, family))
+    # The same fault, aa -> a, planted in the runs verify_reducer reduces
+    # and in the words the pairwise walk reduces.
+    real = oracle.reduce_runs
+    monkeypatch.setattr(oracle, "reduce_runs",
+                        lambda runs, family: real([("a", 1)] if runs == [("a", 2)] else runs,
+                                                  family))
     report = verify_reducer(FREE, 5, 9)
     assert report.reducer_splits_closure and report.closure_splits_reducer
-    assert report == _reference_verify(FREE, 5, 9)
+    assert report == _reference_verify(
+        FREE, 5, 9, lambda word, family: reduce("a" if word == "aa" else word, family))
+
+
+# -- the certified path: normal forms of a complete rewriting system
+
+# Combinatorial(n, m) for n, m in {1, 2, 3, inf} and the 20 group cases.
+CERTIFIED_FAMILIES = [Combinatorial(n, m) for n in (1, 2, 3, None)
+                      for m in (1, 2, 3, None)] + GROUP_CASES
+
+
+def _closure_and_branch(monkeypatch, rels, max_len, cap, check_cap):
+    """(table, certified): closure_from_relations and whether it skipped the sweep."""
+    swept = []
+    real = oracle._swept_closure
+    monkeypatch.setattr(oracle, "_swept_closure", lambda *args: swept.append(args) or real(*args))
+    table = closure_from_relations(rels, max_len, cap, check_cap)
+    monkeypatch.setattr(oracle, "_swept_closure", real)
+    return table, not swept
+
+
+def assert_matches_sweep(monkeypatch, rels, max_len, cap) -> bool:
+    """closure_from_relations equals the block sweep in both modes; True if certified."""
+    branches = set()
+    for check_cap in (False, True):
+        table, certified = _closure_and_branch(monkeypatch, rels, max_len, cap, check_cap)
+        swept = oracle._swept_closure(rels, max_len, cap, check_cap)
+        assert list(table.classes.items()) == list(swept.classes.items()), (max_len, cap, check_cap)
+        assert table.cap_warning == swept.cap_warning, (max_len, cap, check_cap)
+        branches.add(certified)
+    assert len(branches) == 1, "the branch depends only on the relations, max_len and cap"
+    return branches.pop()
+
+
+@pytest.mark.parametrize("family", CERTIFIED_FAMILIES, ids=str)
+def test_certified_closure_matches_block_sweep(monkeypatch, family):
+    rels = relations_of(family)
+    certified = [assert_matches_sweep(monkeypatch, rels, max_len, cap)
+                 for max_len in range(1, 8) for cap in range(max_len, 13)]
+    # Caps below the longest relation, or below max_len + the largest
+    # slack, fall back to the sweep; wide caps certify.
+    assert any(certified) and not all(certified)
+
+
+def test_certified_closure_matches_block_sweep_on_random_presentations(monkeypatch):
+    rng = random.Random(15)
+    certified = []
+    for _ in range(600):
+        rels = [Relation(*("".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+                           for _ in range(2)))
+                for _ in range(rng.randint(1, 4))]
+        max_len = rng.randint(1, 5)
+        cap = rng.randint(max_len, 9)
+        certified.append(assert_matches_sweep(monkeypatch, rels, max_len, cap))
+    assert 100 < sum(certified) < 500
+
+
+def test_certified_closure_allocates_no_union_find(monkeypatch):
+    _no_allocation(monkeypatch)
+    table = closure_classes(Combinatorial(3, 2), 7, 11)
+    assert table.classes["aabb"] == "ab" and not table.cap_warning
+    assert len(table.classes) == 2 ** 8 - 2
+
+
+def test_two_rules_with_one_lhs(monkeypatch):
+    # b = ba and a = ba orient to ba -> b and ba -> a; their critical pair
+    # is ba itself, b = a, which a completion keyed by lhs would miss.
+    rels = [Relation("b", "ba"), Relation("a", "ba")]
+    branches = []
+    for max_len, cap in [(1, 2), (2, 3), (3, 5), (4, 8), (5, 9)]:
+        for check_cap in (False, True):
+            table, certified = _closure_and_branch(monkeypatch, rels, max_len, cap, check_cap)
+            expected = per_edge_closure(rels, max_len, cap, check_cap)
+            assert (table.classes, table.cap_warning) == expected, (max_len, cap, check_cap)
+            assert set(table.classes.values()) == {"a"}
+            branches.append(certified)
+    assert all(branches)
+
+
+def test_a_completion_that_runs_forever_falls_back(monkeypatch):
+    # Under shortlex aba = bab completes to infinitely many rules, so every
+    # cap falls back to the sweep.
+    rels = [Relation("aba", "bab")]
+    assert rewriting.complete([("aba", "bab")], MAX_CAP, MAX_CAP) is None
+    for max_len, cap in [(3, 5), (5, 9), (6, 12)]:
+        for check_cap in (False, True):
+            table, certified = _closure_and_branch(monkeypatch, rels, max_len, cap, check_cap)
+            assert not certified
+            expected = per_edge_closure(rels, max_len, cap, check_cap)
+            assert (table.classes, table.cap_warning) == expected, (max_len, cap, check_cap)
+
+
+def test_rule_limit_falls_back(monkeypatch):
+    family = GroupCase(False, False, 2)
+    rels = relations_of(family)
+    table, certified = _closure_and_branch(monkeypatch, rels, 5, 10, True)
+    assert certified and table == oracle._swept_closure(rels, 5, 10, True)
+    monkeypatch.setattr(rewriting, "MAX_RULES", len(rels) + 1)
+    table, certified = _closure_and_branch(monkeypatch, rels, 5, 10, True)
+    assert not certified
+    assert table == oracle._swept_closure(rels, 5, 10, True)
