@@ -122,14 +122,19 @@ _CASE_FLAGS = {1: (False, False), 2: (False, True),
 FamilySpec = Combinatorial | GroupCase
 
 
-def relations_of(family: FamilySpec) -> list[Relation]:
-    """The defining relations of the family, mutual-inverse axioms first."""
+def relations_of(family: FamilySpec, longest: int | None = None) -> list[Relation]:
+    """The defining relations of the family, mutual-inverse axioms first.
+
+    With longest, a bound or order relation longer than longest letters is
+    left out before it is spelled, so a huge bound costs nothing.
+    """
+    top = math.inf if longest is None else longest
     rels = [Relation("aba", "a"), Relation("bab", "b"), Relation("aabb", "ab")]
     if isinstance(family, Combinatorial):
         n, m = family.right_bound, family.left_bound
-        if n is not None:
+        if n is not None and n + 2 <= top:
             rels.append(Relation("a" * (n + 1) + "b", "a" * n))
-        if m is not None:
+        if m is not None and m + 2 <= top:
             rels.append(Relation("a" + "b" * (m + 1), "b" * m))
         return rels
     rels.append(Relation("bbaa", "ba"))
@@ -137,7 +142,7 @@ def relations_of(family: FamilySpec) -> list[Relation]:
         rels.append(Relation("aab", "a"))
     if family.absorb_right:
         rels.append(Relation("abb", "b"))
-    if family.order is not None:
+    if family.order is not None and family.order + 1 <= top:
         rels.append(Relation("a" * (family.order + 1), "a"))
     return rels
 

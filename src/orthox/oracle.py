@@ -9,22 +9,17 @@ different classes are merely "not known equal" at this cap.
 
 Most inputs are settled by a certificate, without the sweep below.
 rewriting.complete runs a shortlex Knuth-Bendix completion of the
-relations in which each rule lhs -> rhs carries a peak P, the longest
-word on one derivation of lhs = rhs by single defining-relation steps:
-|lhs| for an oriented relation, and for a rule from a critical pair on an
-overlap word the largest |x| + |y| + P(r) over the steps x.lhs(r).y of
-its derivation (the two first steps from the overlap and every step down
-to the two normal forms).  Rewriting never lengthens a word, so when
-completion finishes with max_len + max(P - |lhs|) <= cap, every word of
-length <= max_len reaches its normal form through words no longer than
-the cap: it is joined to its normal form at this cap.  Joined words are
-equal, so they share a normal form; the classes are therefore exactly the
-normal-form classes, and the normal form, the length-lex least word of
-its class, is the representative the union-find would pick.  The same
-holds at cap + 2, so the re-check below would change nothing and the cap
-warning is false.  Completion gives up, and the sweep runs, when a rule's
-slack P - |lhs| exceeds cap - max_len, an lhs grows longer than the cap,
-or the rules pass rewriting.MAX_RULES.  Nothing is kept between calls.
+relations.  Rewriting never lengthens a word, so on words of length
+<= max_len only rules with |lhs| <= max_len fire, each inside a word
+x.lhs.y no longer than max_len.  When _joined links the sides of each
+such rule by defining-relation steps through words of at most
+|lhs| + cap - max_len letters, every word up to max_len is joined at this
+cap to its normal form: the length-lex least word of its class, the
+representative the union-find would pick.  Joined words share a normal
+form, so the classes are the normal-form classes, at cap + 2 too, and
+the cap warning is false.  The sweep runs when completion gives up or a
+rule is not joined.  Nothing is kept between calls.  A bound relation
+longer than cap + 2 never acts, so closure_classes leaves it out unspelled.
 
 Otherwise the closure is swept into a union-find.  Each relation is
 oriented once, from its longer side to its shorter one (kept as written
@@ -96,10 +91,9 @@ from .family import FamilySpec, Relation, relations_of
 from . import rewriting
 from .normal_form import Element, reduce_runs
 
-# At both limits `orthox verify` takes 0.11-0.15 s and 16-17 MB where the
-# certificate holds (3,2; 1,1; inf,inf) and 0.17-0.29 s and 26-27 MB where
-# it falls back to the sweep (group case 1 order 5, 2 order 2, 4 order 2,
-# 4 inf): fresh processes, one shared 2-vCPU host, Python 3.11.
+# At both limits `orthox verify` takes 0.10-0.15 s and 16-17 MB where the
+# certificate holds and 0.15-0.26 s and 26-27 MB where it falls back (the
+# order-5 group cases): fresh processes, shared 2-vCPU host, Python 3.11.
 MAX_CAP = 15           # a union-find over 2 ** 18 - 2 words with the cap check
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
@@ -150,7 +144,8 @@ class VerifyReport:
 def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
                     check_cap: bool = True) -> ClosureTable:
     """Closure classes of all words of length <= max_len for the family."""
-    return closure_from_relations(relations_of(family), max_len, cap, check_cap)
+    cap = _checked_cap(max_len, cap)
+    return closure_from_relations(relations_of(family, cap + 2), max_len, cap, check_cap)
 
 
 def closure_from_relations(rels: list[Relation], max_len: int,
@@ -162,12 +157,31 @@ def closure_from_relations(rels: list[Relation], max_len: int,
         if not (r.lhs and r.rhs and set(r.lhs + r.rhs) <= {"a", "b"}):
             raise OrthoxError(f"relation {r.lhs!r} = {r.rhs!r}: each side "
                               "must be a nonempty word in a and b")
-    certified = rewriting.complete([(r.lhs, r.rhs) for r in rels],
-                                   max_slack=cap - max_len, max_lhs=cap)
-    if certified is not None:
-        forms = rewriting.normal_forms(certified, max_len)
+    pairs = [(r.lhs, r.rhs) for r in rels]
+    rules = rewriting.complete(pairs, max_lhs=cap)
+    if rules is not None and all(_joined(r.lhs, r.rhs, pairs, len(r.lhs) + cap - max_len)
+                                 for r in rules if len(r.lhs) <= max_len):
+        forms = rewriting.normal_forms(rules, max_len)
         return ClosureTable(max_len, cap, dict(zip(_spelled(len(forms)), forms)))
     return _swept_closure(rels, max_len, cap, check_cap)
+
+
+def _joined(u: str, v: str, pairs: list[tuple[str, str]], height: int) -> bool:
+    """Whether relation steps, either way round, lead from u to v within height letters."""
+    steps = pairs + [(rhs, lhs) for lhs, rhs in pairs]
+    seen, queue = {u}, [u]
+    for word in queue:            # grows as it is read: breadth first
+        for src, dst in steps:
+            at = word.find(src) if len(word) - len(src) + len(dst) <= height else -1
+            while at != -1:
+                rewrite = word[:at] + dst + word[at + len(src):]
+                if rewrite == v:
+                    return True
+                if rewrite not in seen:
+                    seen.add(rewrite)
+                    queue.append(rewrite)
+                at = word.find(src, at + 1)
+    return False
 
 
 def _swept_closure(rels: list[Relation], max_len: int, cap: int,

@@ -1,27 +1,17 @@
-"""Shortlex Knuth-Bendix completion that records derivation peaks.
+"""Shortlex Knuth-Bendix completion of a string-rewriting system.
 
 Words are ordered shortlex: shorter first, then alphabetically with
 a < b.  That is the length-lex order of the oracle's word numbers, so a
 word's normal form under a complete system is the least word equal to it,
 the representative the oracle's closure would pick.
 
-Each rule lhs -> rhs carries a peak P: an upper bound on the longest word
-of one derivation of lhs = rhs by single defining-relation steps.  A
-defining relation, oriented, has P = |lhs|.  A rule found from a critical
-pair on an overlap word o gets the largest height over the steps of its
-derivation: the two first steps from o and every step down to the two
-normal forms, where a step by rule r inside the word x.lhs(r).y has height
-|x| + |y| + P(r).  Rules are never interreduced, so every recorded peak
-stays an upper bound: a rule is kept, with its derivation, once found.
+Each relation is oriented from its shortlex-larger side to its smaller one,
+and each critical pair whose sides have different normal forms adds a
+rule between them.  Rules are never interreduced.
 
-Rewriting a word w to its normal form with such rules never lengthens it,
-so each of its steps has height at most |w| + max(P - |lhs|); the oracle
-uses that bound to certify its bounded closure.  The peaks come from the
-first derivation found, so some are larger than they need be.
-
-complete() gives up and returns None when a rule's slack P - |lhs|
-exceeds max_slack, an lhs grows longer than max_lhs, or the rules pass
-MAX_RULES; a shortlex completion need not terminate (aba = bab does not).
+complete() gives up and returns None when an lhs grows longer than max_lhs
+or the rules pass MAX_RULES; a shortlex completion need not terminate
+(aba = bab does not).
 """
 
 from __future__ import annotations
@@ -34,24 +24,22 @@ MAX_RULES = 48
 class Rule(NamedTuple):
     lhs: str
     rhs: str
-    peak: int
 
 
-def complete(relations: list[tuple[str, str]], max_slack: int,
-             max_lhs: int) -> list[Rule] | None:
+def complete(relations: list[tuple[str, str]], max_lhs: int) -> list[Rule] | None:
     """A complete shortlex system for the relations, or None (see above)."""
     rules: list[Rule] = []
     index: dict[str, Rule] = {}       # the first rule of each lhs, for rewriting
     lengths: list[int] = []           # the distinct lhs lengths, ascending
 
-    def add(u: str, v: str, peak: int) -> bool:
+    def add(u: str, v: str) -> bool:
         """Adopt u = v; False when completion must give up."""
         if u == v:
             return True
         lhs, rhs = (u, v) if _shortlex(u) > _shortlex(v) else (v, u)
-        if peak - len(lhs) > max_slack or len(lhs) > max_lhs or len(rules) == MAX_RULES:
+        if len(lhs) > max_lhs or len(rules) == MAX_RULES:
             return False
-        rule = Rule(lhs, rhs, peak)
+        rule = Rule(lhs, rhs)
         rules.append(rule)
         index.setdefault(lhs, rule)
         if len(lhs) not in lengths:
@@ -60,20 +48,15 @@ def complete(relations: list[tuple[str, str]], max_slack: int,
         return True
 
     for u, v in relations:
-        if not add(u, v, max(len(u), len(v))):
+        if not add(u, v):
             return None
-    done = 0
-    while done < len(rules):
-        new = rules[done]
+    for done, new in enumerate(rules):        # rules grows as it is read
         for old in rules[:done + 1]:
             pairs = _overlaps(old, new) if old is new else _overlaps(old, new) + _overlaps(new, old)
             for left, right in pairs:
-                # Each side is (word after the first step, that step's height).
-                (n1, h1), (n2, h2) = (_normalize("", *left, index, lengths),
-                                      _normalize("", *right, index, lengths))
-                if not add(n1, n2, max(h1, h2)):
+                if not add(_normalize("", left, index, lengths),
+                           _normalize("", right, index, lengths)):
                     return None
-        done += 1
     return rules
 
 
@@ -91,12 +74,12 @@ def normal_forms(rules: list[Rule], max_len: int) -> list[str]:
     out: list[str] = []
     for n in range(2 ** (max_len + 1) - 2):
         done = out[(n + 2) // 2 - 2] if n >= 2 else ""
-        out.append(_normalize(done, "ab"[n & 1], 0, index, lengths)[0])
+        out.append(_normalize(done, "ab"[n & 1], index, lengths))
     return out
 
 
-def _overlaps(r1: Rule, r2: Rule) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """The critical pairs of r1 and r2, each side (rewritten word, height).
+def _overlaps(r1: Rule, r2: Rule) -> list[tuple[str, str]]:
+    """The critical pairs of r1 and r2.
 
     r2's lhs either starts on a proper suffix of r1's lhs or sits inside
     it; the two sides are one step by r1 and one by r2 from that word.
@@ -105,23 +88,18 @@ def _overlaps(r1: Rule, r2: Rule) -> list[tuple[tuple[str, int], tuple[str, int]
     out = []
     for t in range(1, min(len(l1), len(l2))):
         if l1[-t:] == l2[:t]:
-            tail, head = l2[t:], l1[:-t]
-            out.append(((r1.rhs + tail, len(tail) + r1.peak),
-                        (head + r2.rhs, len(head) + r2.peak)))
+            out.append((r1.rhs + l2[t:], l1[:-t] + r2.rhs))
     if r1 is not r2:
         at = l1.find(l2)
         while at != -1:
-            out.append(((r1.rhs, r1.peak),
-                        (l1[:at] + r2.rhs + l1[at + len(l2):], len(l1) - len(l2) + r2.peak)))
+            out.append((r1.rhs, l1[:at] + r2.rhs + l1[at + len(l2):]))
             at = l1.find(l2, at + 1)
     return out
 
 
-def _normalize(done: str, todo: str, top: int, index: dict[str, Rule],
-               lengths: list[int]) -> tuple[str, int]:
-    """Rewrite done + todo, done irreducible, to its normal form.
+def _normalize(done: str, todo: str, index: dict[str, Rule], lengths: list[int]) -> str:
+    """The normal form of done + todo, done irreducible.
 
-    Returns the normal form and the larger of top and every step's height.
     Letters move from todo to done one at a time, so a redex can only be a
     suffix of done; a rewrite puts its rhs back at the front of todo.
     """
@@ -132,10 +110,9 @@ def _normalize(done: str, todo: str, top: int, index: dict[str, Rule],
                 break
             rule = index.get(done[-n:])
             if rule is not None:
-                top = max(top, len(done) + len(todo) - n + rule.peak)
                 done, todo = done[:-n], rule.rhs + todo
                 break
-    return done, top
+    return done
 
 
 def _shortlex(word: str) -> tuple[int, str]:

@@ -14,6 +14,7 @@ from orthox.classify import (
     infer_family,
 )
 from orthox.oracle import closure_from_relations
+from orthox.rewriting import complete, normal_forms
 
 BASE = relations_of(Combinatorial(None, None))
 
@@ -143,3 +144,18 @@ def test_classified_relations_equivalent_to_canonical_by_oracle():
         canon = closure_from_relations(BASE + canonical_relations(verdict),
                                        6, 12, check_cap=False)
         assert added.classes == canon.classes, (u, v, verdict)
+
+
+def test_infer_agrees_with_completion_on_random_presentations():
+    # A shortlex completion decides the word problem of a presentation
+    # without the reducer: the base axioms plus random relations must have
+    # the normal forms of the family that infer_family reads off them.
+    rng = random.Random(7)
+    for _ in range(300):
+        extra = [Relation(*("".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+                            for _ in range(2)))
+                 for _ in range(rng.randint(1, 3))]
+        systems = [complete([(r.lhs, r.rhs) for r in rels], max_lhs=15)
+                   for rels in (BASE + extra, relations_of(infer_family(extra)))]
+        assert None not in systems, extra
+        assert normal_forms(systems[0], 7) == normal_forms(systems[1], 7), extra

@@ -100,6 +100,18 @@ def test_verify_json(capsys):
     assert payload["agreements"] == 62 * 61 // 2
 
 
+@pytest.mark.parametrize("huge, infinite", [
+    (["--group-case", "1", "--order", "1000000000000"], ["--group-case", "1", "--order", "inf"]),
+    (["--family", "1000000000000,2"], ["--family", "inf,2"]),
+], ids=["order", "family"])
+@pytest.mark.parametrize("fmt", ["ascii", "json"])
+def test_verify_huge_bound_prints_the_infinite_answer(capsys, huge, infinite, fmt):
+    limits = ["--max-len", "10", "--cap", "15", "--format", fmt]
+    expected = run(capsys, "verify", *infinite, *limits)
+    assert expected[0] == 0
+    assert run(capsys, "verify", *huge, *limits) == expected
+
+
 def test_domain_error_exit_1(capsys):
     code, out, err = run(capsys, "reduce", "--family", "inf,inf", "abc")
     assert code == 1

@@ -48,6 +48,14 @@ def test_relations_group_flags_and_order():
     assert frozenset({"aaaaaa", "a"}) in rels
 
 
+@pytest.mark.parametrize("family, size", [
+    (Combinatorial(3, None), 5), (Combinatorial(None, 4), 6), (GroupCase(True, True, 5), 6)],
+    ids=str)
+def test_longest_leaves_out_longer_bound_relations(family, size):
+    assert relations_of(family, longest=size) == relations_of(family)
+    assert relations_of(family, longest=size - 1) == relations_of(family)[:-1]
+
+
 @pytest.mark.parametrize("family", COMBINATORIAL_FIVE + GROUP_CASES)
 def test_every_relation_holds_under_reducer(family):
     for rel in relations_of(family):

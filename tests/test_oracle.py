@@ -445,8 +445,8 @@ def test_certified_closure_matches_block_sweep(monkeypatch, family):
     rels = relations_of(family)
     certified = [assert_matches_sweep(monkeypatch, rels, max_len, cap)
                  for max_len in range(1, 8) for cap in range(max_len, 13)]
-    # Caps below the longest relation, or below max_len + the largest
-    # slack, fall back to the sweep; wide caps certify.
+    # Caps below the longest relation, or too tight to join a rule's sides,
+    # fall back to the sweep; wide caps certify.
     assert any(certified) and not all(certified)
 
 
@@ -470,6 +470,14 @@ def test_certified_closure_allocates_no_union_find(monkeypatch):
     assert len(table.classes) == 2 ** 8 - 2
 
 
+def test_certificate_is_exact_per_rule(monkeypatch):
+    # A rule of GroupCase(True, True, None) needs 4 letters of headroom to
+    # join its sides: cap 9 is one short for max_len 6, cap 10 is enough.
+    rels = relations_of(GroupCase(True, True, None))
+    assert not assert_matches_sweep(monkeypatch, rels, 6, 9)
+    assert assert_matches_sweep(monkeypatch, rels, 6, 10)
+
+
 def test_two_rules_with_one_lhs(monkeypatch):
     # b = ba and a = ba orient to ba -> b and ba -> a; their critical pair
     # is ba itself, b = a, which a completion keyed by lhs would miss.
@@ -489,7 +497,7 @@ def test_a_completion_that_runs_forever_falls_back(monkeypatch):
     # Under shortlex aba = bab completes to infinitely many rules, so every
     # cap falls back to the sweep.
     rels = [Relation("aba", "bab")]
-    assert rewriting.complete([("aba", "bab")], MAX_CAP, MAX_CAP) is None
+    assert rewriting.complete([("aba", "bab")], MAX_CAP) is None
     for max_len, cap in [(3, 5), (5, 9), (6, 12)]:
         for check_cap in (False, True):
             table, certified = _closure_and_branch(monkeypatch, rels, max_len, cap, check_cap)
@@ -507,3 +515,28 @@ def test_rule_limit_falls_back(monkeypatch):
     table, certified = _closure_and_branch(monkeypatch, rels, 5, 10, True)
     assert not certified
     assert table == oracle._swept_closure(rels, 5, 10, True)
+
+
+# -- bound relations too long to act on the closure
+
+@pytest.mark.parametrize("huge, infinite", [
+    (GroupCase(False, False, 10 ** 12), GroupCase(False, False, None)),
+    (GroupCase(True, True, 10 ** 12), GroupCase(True, True, None)),
+    (Combinatorial(10 ** 12, 2), Combinatorial(None, 2)),
+    (Combinatorial(3, 10 ** 12), Combinatorial(3, None)),
+], ids=str)
+def test_huge_bound_verifies_like_infinite(huge, infinite):
+    for max_len, cap in [(4, 8), (6, 10), (MAX_VERIFY_LEN, MAX_CAP)]:
+        assert verify_reducer(huge, max_len, cap) == verify_reducer(infinite, max_len, cap)
+
+
+@pytest.mark.parametrize("family", [GroupCase(True, False, 2), GroupCase(True, True, 2)],
+                         ids=str)
+def test_a_relation_one_past_the_cap_is_kept(family):
+    # a^3 = a is cap + 1 letters long, yet it acts in the re-check at caps
+    # cap + 1 and cap + 2: without it the cap warning would be lost.
+    rels = relations_of(family)
+    expected = per_edge_closure(rels, 2, 2, True)
+    assert expected[1] and not per_edge_closure(rels[:-1], 2, 2, True)[1]
+    table = closure_classes(family, 2, 2)
+    assert (table.classes, table.cap_warning) == expected
