@@ -126,7 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[fam, fmt],
                        help="cross-check the reducer against the word oracle")
     p.add_argument("--max-len", type=int, default=7)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None,
+                   help="longest rule the oracle's completion may adopt "
+                        f"(default --max-len + 4, at most {oracle_mod.MAX_CAP})")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -1,17 +1,21 @@
 """Shortlex Knuth-Bendix completion of a string-rewriting system.
 
 Words are ordered shortlex: shorter first, then alphabetically with
-a < b.  That is the length-lex order of the oracle's word numbers, so a
-word's normal form under a complete system is the least word equal to it,
-the representative the oracle's closure would pick.
+a < b.  That is the oracle's length-lex order, and every rewrite makes a
+word smaller in it, so a word's normal form under a complete system is
+the least word equal to it.
 
 Each relation is oriented from its shortlex-larger side to its smaller one,
 and each critical pair whose sides have different normal forms adds a
 rule between them.  Rules are never interreduced.
 
-complete() gives up and returns None when an lhs grows longer than max_lhs
-or the rules pass MAX_RULES; a shortlex completion need not terminate
-(aba = bab does not).
+A shortlex completion need not terminate (aba = bab does not), so
+complete() leaves out every rule whose lhs is longer than max_lhs and
+every rule past MAX_RULES, and reports that it did not finish.  It goes
+on with the rules it has, and still stops: the rule list never passes
+MAX_RULES.  Each rule it keeps is still a consequence of the relations,
+so words sharing a normal form are equal; only when it finished are the
+rules complete.
 """
 
 from __future__ import annotations
@@ -26,46 +30,46 @@ class Rule(NamedTuple):
     rhs: str
 
 
-def complete(relations: list[tuple[str, str]], max_lhs: int) -> list[Rule] | None:
-    """A complete shortlex system for the relations, or None (see above)."""
+def complete(relations: list[tuple[str, str]], max_lhs: int) -> tuple[list[Rule], bool]:
+    """(rules, finished): a shortlex system for the relations (see above)."""
     rules: list[Rule] = []
     index: dict[str, Rule] = {}       # the first rule of each lhs, for rewriting
     lengths: list[int] = []           # the distinct lhs lengths, ascending
+    finished = True
 
-    def add(u: str, v: str) -> bool:
-        """Adopt u = v; False when completion must give up."""
+    def add(u: str, v: str) -> None:
+        """Adopt u = v, unless it is trivial or over a limit."""
+        nonlocal finished
         if u == v:
-            return True
+            return
         lhs, rhs = (u, v) if _shortlex(u) > _shortlex(v) else (v, u)
         if len(lhs) > max_lhs or len(rules) == MAX_RULES:
-            return False
+            finished = False
+            return
         rule = Rule(lhs, rhs)
         rules.append(rule)
         index.setdefault(lhs, rule)
         if len(lhs) not in lengths:
             lengths.append(len(lhs))
             lengths.sort()
-        return True
 
     for u, v in relations:
-        if not add(u, v):
-            return None
+        add(u, v)
     for done, new in enumerate(rules):        # rules grows as it is read
         for old in rules[:done + 1]:
             pairs = _overlaps(old, new) if old is new else _overlaps(old, new) + _overlaps(new, old)
             for left, right in pairs:
-                if not add(_normalize("", left, index, lengths),
-                           _normalize("", right, index, lengths)):
-                    return None
-    return rules
+                add(_normalize("", left, index, lengths), _normalize("", right, index, lengths))
+    return rules, finished
 
 
 def normal_forms(rules: list[Rule], max_len: int) -> list[str]:
-    """The normal forms of all words up to max_len, indexed by word number.
+    """The normal forms of all words up to max_len, in length-lex order.
 
-    Word number n of length L has bits n + 2 - 2 ** L; dropping its last
-    letter gives word number (n + 2) // 2 - 2, whose normal form is
-    irreducible, so only the last letter needs rewriting in.
+    Word n in that order, of length L, spells n + 2 - 2 ** L in binary with
+    a = 0, b = 1; dropping its last letter gives word (n + 2) // 2 - 2,
+    whose normal form is irreducible, so only the last letter needs
+    rewriting in.
     """
     index: dict[str, Rule] = {}
     for rule in rules:
