@@ -16,7 +16,7 @@ from orthox.oracle import (
     verify_reducer,
 )
 
-from conftest import GROUP_CASES
+from conftest import COMBINATORIAL_FIVE, GROUP_CASES
 
 FREE = Combinatorial(None, None)
 BICYCLIC = Combinatorial(1, 1)
@@ -268,6 +268,28 @@ def test_references_agree():
     assert per_edge_closure(rels, 4, 8, True)[1] and not per_edge_closure(rels, 4, 9, True)[1]
 
 
+FREE_AXIOMS = [Relation("aba", "a"), Relation("bab", "b"), Relation("aabb", "ab")]
+SLOTS = [(3, 3), (2, 4), (3, 6), (4, 8), (5, 9)]
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_FIVE + GROUP_CASES, ids=str)
+def test_sweep_matches_two_saturation_reference(family):
+    # The per-edge sweep, which the completion is checked against, gives the
+    # classes and the flag of the closure saturated twice.
+    rels = relations_of(family)
+    warnings = []
+    for max_len, cap in SLOTS:
+        for check_cap in (False, True):
+            expected = reference_closure(rels, max_len, cap, check_cap)
+            assert per_edge_closure(rels, max_len, cap, check_cap) == expected, \
+                (max_len, cap, check_cap)
+            warnings.append(expected[1])
+    # Orders 3 and 5 leave some of these caps unconverged, so the flag is
+    # compared where it fires, not only where it stays false.
+    if isinstance(family, GroupCase) and family.order in (3, 5):
+        assert any(warnings)
+
+
 # -- the completion's classes against the references
 
 # Combinatorial(n, m) for n, m in {1, 2, 3, inf} and the 20 group cases.
@@ -344,8 +366,39 @@ def test_closure_against_the_reference_on_random_presentations():
     assert 100 < sum(finished) < 500
 
 
-FREE_AXIOMS = [Relation("aba", "a"), Relation("bab", "b"), Relation("aabb", "ab")]
-SLOTS = [(3, 3), (2, 4), (3, 6), (4, 8), (5, 9)]
+# The verify workload's (max_len, cap) slots.
+VERIFY_SLOTS = [(5, 9), (5, 10), (6, 10), (5, 11), (6, 11)]
+WORKLOAD_CASES = [
+    *[(family, max_len, cap) for family in (Combinatorial(3, 2), GroupCase(True, False, 2))
+      for max_len, cap in VERIFY_SLOTS],
+    (GroupCase(False, False, 5), 6, 10),       # the bounded closure splits here
+    ("ab=ba", 5, 9),
+    (Combinatorial(2, 3), 10, 15),
+]
+
+
+@pytest.mark.parametrize("family, max_len, cap", WORKLOAD_CASES, ids=str)
+def test_closure_matches_per_edge_sweep_at_workload_slots(family, max_len, cap):
+    # Where the bounded closure at cap is converged, the completion's
+    # classes are the same, with no flag in either mode.  Group case 1 of
+    # order 5 needs a wider cap than 10 to converge; the completion is
+    # exact there and does not warn.
+    if family == "ab=ba":
+        rels = FREE_AXIOMS + [Relation("ab", "ba")]
+        tables = [closure_from_relations(rels, max_len, cap, c) for c in (False, True)]
+    else:
+        rels = relations_of(family, cap + 2)
+        tables = [closure_classes(family, max_len, cap, c) for c in (False, True)]
+    for check_cap, table in zip((False, True), tables):
+        classes, warning = per_edge_closure(rels, max_len, cap, check_cap)
+        if family == GroupCase(False, False, 5):
+            assert warning == check_cap and _finer(classes, table.classes)
+            least = {}
+            assert table.classes == {w: least.setdefault(reduce(w, family), w)
+                                     for w in all_words(max_len)}
+            assert not table.cap_warning
+        else:
+            assert (table.classes, table.cap_warning) == (classes, warning), check_cap
 
 
 @pytest.mark.parametrize("rels", [

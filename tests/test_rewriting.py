@@ -6,7 +6,7 @@ from orthox.oracle import all_words
 from orthox.rewriting import Rule, complete, normal_forms
 
 from conftest import GROUP_CASES
-from test_oracle import per_edge_closure
+from test_oracle import per_edge_closure, per_edge_partitions
 
 FAMILIES = [Combinatorial(n, m) for n in (1, 2, 3, None) for m in (1, 2, 3, None)] + GROUP_CASES
 
@@ -87,6 +87,19 @@ def test_unfinished_completion_keeps_consequences(family):
             assert reduce(rule.lhs, family) == reduce(rule.rhs, family), (rule, max_lhs)
     if isinstance(family, GroupCase) and family.order == 5:
         assert unfinished
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_rules_are_bounded_consequences(family):
+    # Without trusting reduce: the sides of every rule are joined by the
+    # relations through words at most 7 letters longer than its lhs.
+    rels = relations_of(family)
+    rules = _system(family)
+    for length in {len(rule.lhs) for rule in rules}:
+        classes = per_edge_partitions(rels, length, (length + 7,))[length + 7]
+        for rule in rules:
+            if len(rule.lhs) == length:
+                assert classes[rule.lhs] == classes[rule.rhs], rule
 
 
 def test_a_completion_that_runs_forever_keeps_consequences():
