@@ -38,6 +38,7 @@ from .normal_form import (
     reduce,
     window_elements,
 )
+from .structure import Piece, piece_of
 from .words import format_word, mirror, parse_word, syllables
 
 __version__ = "0.1.0"

@@ -13,17 +13,11 @@ the first/last letters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .family import (
-    Combinatorial,
-    FamilySpec,
-    GroupCase,
-    Relation,
-    order_gcd,
-    relations_of,
-)
+from .family import Combinatorial, FamilySpec, GroupCase, Relation
 from .normal_form import ReducedWord, reduce
 
 FREE_MOST = Combinatorial(None, None)
@@ -88,13 +82,6 @@ def classify_relation(u: str, v: str) -> RelationClass:
     return RightBound(dn)
 
 
-def canonical_relations(verdict: RelationClass) -> list[Relation]:
-    """The bound relation(s) a classified verdict stands for, as relations_of spells them."""
-    n = verdict.n if isinstance(verdict, (RightBound, Both)) else None
-    m = verdict.m if isinstance(verdict, (LeftBound, Both)) else None
-    return relations_of(Combinatorial(n, m))[len(relations_of(FREE_MOST)):]
-
-
 def infer_family(rels: Sequence[Relation]) -> FamilySpec:
     """Recover the family presented by the base axioms plus these relations.
 
@@ -114,4 +101,4 @@ def infer_family(rels: Sequence[Relation]) -> FamilySpec:
              for r in rels]
     return GroupCase(any(u.col != v.col for u, v in pairs),
                      any(u.row != v.row for u, v in pairs),
-                     order_gcd([u.g - v.g for u, v in pairs]))
+                     math.gcd(*(u.g - v.g for u, v in pairs)) or None)

@@ -31,7 +31,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        out = args.handler(args)
+        # Every command but classify and infer takes a family selector.
+        family = (_family_from(args),) if "group_case" in args else ()
+        out = args.handler(args, *family)
     except OrthoxError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -155,38 +157,32 @@ def _element_out(x, fmt: str) -> str:
     return nf.format_element(x)
 
 
-def _cmd_reduce(args) -> str:
-    f = _family_from(args)
+def _cmd_reduce(args, f: FamilySpec) -> str:
     return _element_out(nf.reduce(args.word, f), args.format)
 
 
-def _cmd_mul(args) -> str:
-    f = _family_from(args)
+def _cmd_mul(args, f: FamilySpec) -> str:
     prod = nf.multiply(nf.reduce(args.left, f), nf.reduce(args.right, f))
     return _element_out(prod, args.format)
 
 
-def _cmd_inv(args) -> str:
-    f = _family_from(args)
+def _cmd_inv(args, f: FamilySpec) -> str:
     return _element_out(nf.canonical_inverse(nf.reduce(args.word, f)),
                         args.format)
 
 
-def _cmd_eq(args) -> str:
-    f = _family_from(args)
+def _cmd_eq(args, f: FamilySpec) -> str:
     same = nf.equal(nf.reduce(args.left, f), nf.reduce(args.right, f))
     return "true" if same else "false"
 
 
-def _cmd_green(args) -> str:
-    f = _family_from(args)
+def _cmd_green(args, f: FamilySpec) -> str:
     hit = structure_mod.related(nf.reduce(args.left, f),
                                 nf.reduce(args.right, f), args.rel)
     return "true" if hit else "false"
 
 
-def _cmd_idem(args) -> str:
-    f = _family_from(args)
+def _cmd_idem(args, f: FamilySpec) -> str:
     if args.word is not None:
         return "true" if nf.is_idempotent(nf.reduce(args.word, f)) else "false"
     names = [nf.format_element(e)
@@ -196,8 +192,7 @@ def _cmd_idem(args) -> str:
     return "\n".join(names)
 
 
-def _cmd_eggbox(args) -> str:
-    f = _family_from(args)
+def _cmd_eggbox(args, f: FamilySpec) -> str:
     counts = args.window.split(",")
     if len(counts) != 4:
         raise OrthoxError(f"--window takes four counts, got {args.window!r}")
@@ -207,12 +202,11 @@ def _cmd_eggbox(args) -> str:
         raise OrthoxError(f"--window counts must be integers, got {args.window!r}")
     matrix = render_mod.eggbox_grid(f, window, reps=args.reps)
     if args.format == "json":
-        return render_mod.grid_json(matrix)
+        return json.dumps(matrix)
     return render_mod.grid_text(matrix)
 
 
-def _cmd_band(args) -> str:
-    f = _family_from(args)
+def _cmd_band(args, f: FamilySpec) -> str:
     if args.format == "dot":
         return render_mod.band_dot(f, args.bound)
     if args.format == "json":
@@ -220,8 +214,7 @@ def _cmd_band(args) -> str:
     return render_mod.band_text(f, args.bound)
 
 
-def _cmd_image(args) -> str:
-    f = _family_from(args)
+def _cmd_image(args, f: FamilySpec) -> str:
     image = quotient_mod.inverse_image(nf.reduce(args.word, f))
     if isinstance(image, quotient_mod.CyclicImage):
         return decimal(image.value)
@@ -245,8 +238,7 @@ def _cmd_infer(args) -> str:
     return family_mod.describe(inferred)
 
 
-def _cmd_verify(args) -> str:
-    f = _family_from(args)
+def _cmd_verify(args, f: FamilySpec) -> str:
     report = oracle_mod.verify_reducer(f, args.max_len, args.cap,
                                        names=("--max-len", "--cap"))
     if args.format == "json":

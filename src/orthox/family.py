@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import OrthoxError
-from .words import balance, mirror, parse_runs
 
 
 @dataclass(frozen=True)
@@ -32,12 +31,6 @@ class Relation:
 
     lhs: str
     rhs: str
-
-    def mirrored(self) -> "Relation":
-        return Relation(mirror(self.lhs), mirror(self.rhs))
-
-    def as_pair(self) -> frozenset[str]:
-        return frozenset((self.lhs, self.rhs))
 
 
 @dataclass(frozen=True)
@@ -206,17 +199,6 @@ def group_case(case: int, order: int | None) -> GroupCase:
     return GroupCase(*_CASE_FLAGS[case], order)
 
 
-def letter_balance(word: str) -> int:
-    """#a minus #b for a flat or caret-form word."""
-    return balance(parse_runs(word))
-
-
 def bound_value(value: int | None) -> int | str:
     """A bound or order as written out: the integer, or "inf" for None."""
     return "inf" if value is None else value
-
-
-def order_gcd(deltas: list[int]) -> int | None:
-    """Least order implied by a set of balance differences (None if free)."""
-    nonzero = [abs(d) for d in deltas if d]
-    return math.gcd(*nonzero) if nonzero else None

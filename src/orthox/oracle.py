@@ -14,7 +14,8 @@ of at most cap letters.
 
 The cap warning is a saturation heuristic: when the completion did not
 finish, it runs again with rules up to cap + 2 letters long, and the flag
-is set when that changed the partition of the words of length <= max_len.
+is set when that changed the partition of the words of length <= max_len,
+or when the re-check itself stopped at rewriting.MAX_RULES rules.
 A bound relation longer than cap + 2 letters is never adopted, so
 closure_classes leaves it out unspelled.
 
@@ -59,17 +60,6 @@ class ClosureTable:
                                       # words in length-lex order
     cap_warning: bool = False
 
-    def groups(self) -> list[tuple[str, ...]]:
-        by_rep: dict[str, list[str]] = {}
-        for word, rep in self.classes.items():
-            by_rep.setdefault(rep, []).append(word)
-        out = [tuple(sorted(ws, key=_lenlex)) for ws in by_rep.values()]
-        out.sort(key=lambda g: _lenlex(g[0]))
-        return out
-
-    def same_class(self, w1: str, w2: str) -> bool:
-        return self.classes[w1] == self.classes[w2]
-
 
 @dataclass
 class VerifyReport:
@@ -111,7 +101,8 @@ def closure_from_relations(rels: list[Relation], max_len: int,
     warning = False
     if check_cap and not finished:
         wider, _ = rewriting.complete(pairs, max_lhs=cap + 2)
-        warning = rewriting.normal_forms(wider, max_len) != forms
+        warning = (len(wider) == rewriting.MAX_RULES
+                   or rewriting.normal_forms(wider, max_len) != forms)
     return ClosureTable(max_len, cap, dict(zip(all_words(max_len), forms)), warning)
 
 
@@ -179,7 +170,3 @@ def _split_pairs(vocab: list[str], joined: list, told: list) -> list[tuple[str, 
     pairs = sorted((i, j) for group in groups.values()
                    for i, j in itertools.combinations(group, 2) if told[i] != told[j])
     return [(vocab[i], vocab[j]) for i, j in pairs]
-
-
-def _lenlex(w: str):
-    return (len(w), w)

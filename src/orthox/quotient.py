@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FamilyMismatch
 from .family import Combinatorial
 from .normal_form import (
     Element,
@@ -69,10 +68,3 @@ def inverses_window(x: Element, bound: int) -> list[Element]:
                  for e in row_idempotents(family, row)
                  for f in col_idempotents(family, col)]
     return sorted((y for y in found if in_window(y, bound)), key=sort_key)
-
-
-def inverse_related(x: Element, y: Element) -> bool:
-    """Whether x and y share their full inverse sets, decided by image equality."""
-    if x.family != y.family:
-        raise FamilyMismatch("inverse relatedness compares elements of one family")
-    return inverse_image(x) == inverse_image(y)

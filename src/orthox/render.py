@@ -69,10 +69,6 @@ def grid_text(matrix: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def grid_json(matrix: list[list[str]]) -> str:
-    return json.dumps(matrix)
-
-
 def band_dot(family: FamilySpec, bound: int) -> str:
     """DOT digraph of the window band.
 

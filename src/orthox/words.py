@@ -141,11 +141,6 @@ def syllables(word: str) -> list[tuple[int, int]]:
     return run_syllables(parse_runs(word))
 
 
-def spell(syls: list[tuple[int, int]]) -> str:
-    """Inverse of :func:`syllables`."""
-    return "".join("a" * k + "b" * l for k, l in syls)
-
-
 def mirror(word: str) -> str:
     """Reverse the word and swap a <-> b, as a flat letter string.
 

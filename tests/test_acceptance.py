@@ -27,7 +27,6 @@ from orthox.classify import (
     LeftBound,
     Redundant,
     RightBound,
-    canonical_relations,
     classify_relation,
     infer_family,
 )
@@ -228,8 +227,8 @@ def test_criterion_8_classifier():
         assert isinstance(verdict, (RightBound, LeftBound, Both))
         added = closure_from_relations(base + [Relation(u, v)], 6, 12,
                                        check_cap=False)
-        canon = closure_from_relations(base + canonical_relations(verdict),
-                                       6, 12, check_cap=False)
+        bounds = Combinatorial(getattr(verdict, "n", None), getattr(verdict, "m", None))
+        canon = closure_from_relations(relations_of(bounds), 6, 12, check_cap=False)
         assert added.classes == canon.classes, (u, v, verdict)
         checked += 1
 

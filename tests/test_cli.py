@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,12 @@ def test_eggbox(capsys):
     code, out, _ = run(capsys, "eggbox", "--group-case", "2",
                        "--window", "0,0,0,0")
     assert out.startswith("H_a:")
+
+
+def test_eggbox_json(capsys):
+    code, out, err = run(capsys, "eggbox", "--family", "inf,inf",
+                         "--window", "0,1,0,1", "--format", "json")
+    assert (code, out, err) == (0, '[["ab", "a"], ["b", "ba"]]\n', "")
 
 
 def test_band_dot(capsys):
@@ -255,3 +263,22 @@ def test_verify_range_errors_name_their_options(capsys, argv, message):
 def test_size_limits_admit_the_limit(capsys, argv, lines):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(out.splitlines()) == lines
+
+
+def readme_examples():
+    """A param (argv, expected stdout) for each `$ orthox` line of README's CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.strip().splitlines():
+        if line.startswith("$ orthox "):
+            examples.append((shlex.split(line)[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return [pytest.param(argv, "".join(out + "\n" for out in lines), id=argv[0])
+            for argv, lines in examples]
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_examples(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")

@@ -28,14 +28,14 @@ def test_all_words_count():
 
 def test_defining_merge_and_separation():
     table = closure_classes(FREE, 4, 8, check_cap=False)
-    assert table.same_class("aabb", "ab")
-    assert not table.same_class("ab", "ba")
+    assert table.classes["aabb"] == table.classes["ab"]
+    assert table.classes["ab"] != table.classes["ba"]
     assert table.classes["aabb"] == "ab"   # length-lex minimal representative
 
 
 def test_bicyclic_inner_rewrite():
     table = closure_classes(BICYCLIC, 4, 8, check_cap=False)
-    assert table.same_class("abab", "ab")
+    assert table.classes["abab"] == table.classes["ab"]
 
 
 def test_bicyclic_class_count_matches_normal_form_count():
@@ -72,8 +72,8 @@ def test_monotone_completeness():
     vocab = all_words(6)
     for i, w1 in enumerate(vocab):
         for w2 in vocab[i + 1:]:
-            if small.same_class(w1, w2):
-                assert large.same_class(w1, w2)
+            if small.classes[w1] == small.classes[w2]:
+                assert large.classes[w1] == large.classes[w2]
 
 
 @pytest.mark.parametrize("family", [Combinatorial(3, 2), GroupCase(True, False, 3)], ids=str)
@@ -88,7 +88,6 @@ def test_determinism():
     one = closure_classes(FREE, 5, 9, check_cap=False)
     two = closure_classes(FREE, 5, 9, check_cap=False)
     assert one.classes == two.classes
-    assert one.groups() == two.groups()
 
 
 def test_default_cap():
@@ -131,9 +130,9 @@ def test_custom_relations_presentation():
     rels = [Relation("aba", "a"), Relation("bab", "b"),
             Relation("aab", "a"), Relation("abb", "b")]
     table = closure_from_relations(rels, 4, 8, check_cap=False)
-    assert table.same_class("aabb", "ab")
-    assert table.same_class("abab", "ab")
-    assert not table.same_class("ab", "ba")
+    assert table.classes["aabb"] == table.classes["ab"]
+    assert table.classes["abab"] == table.classes["ab"]
+    assert table.classes["ab"] != table.classes["ba"]
 
 
 # -- references: the bounded closure, built without the completion
@@ -456,6 +455,7 @@ def test_rule_limit_leaves_sound_classes(monkeypatch):
     report = verify_reducer(family, 5, 10)
     assert not report.reducer_splits_closure
     assert report.closure_splits_reducer     # not proved without the rules past the limit
+    assert report.cap_warning                # and the re-check, cut the same way, says so
 
 
 def test_pinned_reports():

@@ -5,7 +5,6 @@ import pytest
 
 from orthox import (
     Combinatorial,
-    FamilyMismatch,
     GroupCase,
     format_element,
     multiply,
@@ -18,7 +17,6 @@ from orthox.quotient import (
     BicyclicImage,
     CyclicImage,
     inverse_image,
-    inverse_related,
     inverses_window,
 )
 
@@ -95,16 +93,6 @@ def test_inverses_satisfy_defining_identities():
         assert multiply(multiply(y, x), y) == y
 
 
-def test_inverse_related_examples():
-    assert not inverse_related(reduce("ab^2a^2b", FREE), reduce("ab", FREE))
-    assert inverse_related(reduce("ab^2a^2b", FREE), reduce("ba", FREE))
-    a = reduce("a", FREE)
-    assert inverse_related(a, a)
-    assert not inverse_related(a, reduce("b", FREE))
-    with pytest.raises(FamilyMismatch):
-        inverse_related(a, reduce("a", Combinatorial(1, 1)))
-
-
 def test_image_equality_matches_window_inverse_sets():
     # the classifier route (images) against the inverse-set route (window
     # inverse sets, checked against the definition below) on all elements
@@ -112,7 +100,7 @@ def test_image_equality_matches_window_inverse_sets():
     window = window_elements(FREE, 4)
     vsets = {x: tuple(inverses_window(x, 8)) for x in window}
     for x, y in itertools.combinations(window, 2):
-        assert inverse_related(x, y) == (vsets[x] == vsets[y]), (x.form, y.form)
+        assert (inverse_image(x) == inverse_image(y)) == (vsets[x] == vsets[y]), (x.form, y.form)
 
 
 @pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)

@@ -7,7 +7,6 @@ from orthox.render import (
     EggboxWindow,
     band_dot,
     eggbox_grid,
-    grid_json,
     grid_text,
 )
 from orthox.structure import eggbox_coord
@@ -109,8 +108,3 @@ def test_band_dot_rectangular_square():
     assert dot.count("style=bold") == 0
     assert dot.count('[label="R"]') == 2
     assert dot.count('[label="L"]') == 2
-
-
-def test_grid_json_mirrors_matrix():
-    matrix = eggbox_grid(Combinatorial(1, 1), EggboxWindow(0, 1, 0, 1))
-    assert grid_json(matrix) == '[["ab", "a"], ["b", "ba"]]'

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from orthox import Combinatorial, reduce
 from orthox.errors import BadExponent, BadSymbol, EmptyWord, OrthoxError
 from orthox.words import (
+    balance,
     format_runs,
     format_word,
     mirror,
     parse_runs,
     parse_word,
-    spell,
     syllables,
 )
 
@@ -82,7 +82,7 @@ def test_syllables_examples():
 @given(words)
 def test_syllables_roundtrip_and_boundaries(w):
     syls = syllables(w)
-    assert spell(syls) == w
+    assert "".join("a" * k + "b" * l for k, l in syls) == w
     assert all(k + l >= 1 for k, l in syls)
     for idx, (k, l) in enumerate(syls):
         if idx > 0:
@@ -125,3 +125,9 @@ def test_caret_text_reads_as_its_spelling(runs):
     assert format_word(text) == format_word(letters)
     assert syllables(text) == syllables(letters)
     assert mirror(text) == mirror(letters)
+
+
+def test_balance():
+    assert balance(parse_runs("abba")) == 0
+    assert balance(parse_runs("a^3b")) == 2
+    assert balance(parse_runs(f"a^{10**18}b^2a")) == 10**18 - 1
