@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=7)
     p.add_argument("--cap", type=int, default=None,
                    help="longest rule the oracle's completion may adopt "
-                        f"(default --max-len + 4, at most {oracle_mod.MAX_CAP})")
+                        "(default no limit)")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

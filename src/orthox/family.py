@@ -115,13 +115,19 @@ _CASE_FLAGS = {1: (False, False), 2: (False, True),
 FamilySpec = Combinatorial | GroupCase
 
 
-def relations_of(family: FamilySpec, longest: int | None = None) -> list[Relation]:
+def relations_of(family: FamilySpec, max_len: int | None = None) -> list[Relation]:
     """The defining relations of the family, mutual-inverse axioms first.
 
-    With longest, a bound or order relation longer than longest letters is
-    left out before it is spelled, so a huge bound costs nothing.
+    With max_len, only the relations that can act on words of at most
+    max_len letters are spelled, so a huge bound or order costs nothing.
+    A bound relation stays when it has at most max_len letters: each
+    combinatorial presentation is complete as written, so a longer one
+    never rewrites those words.  The order relation a^(d+1) = a stays when
+    d <= 2 max_len.  That bound is checked, not proved: for max_len <= 10
+    each group case has the normal forms of order inf on those words at
+    d = 2 max_len + 1 and 2 max_len + 2, and case 4 differs at d = 2 max_len.
     """
-    top = math.inf if longest is None else longest
+    top = math.inf if max_len is None else max_len
     rels = [Relation("aba", "a"), Relation("bab", "b"), Relation("aabb", "ab")]
     if isinstance(family, Combinatorial):
         n, m = family.right_bound, family.left_bound
@@ -135,7 +141,7 @@ def relations_of(family: FamilySpec, longest: int | None = None) -> list[Relatio
         rels.append(Relation("aab", "a"))
     if family.absorb_right:
         rels.append(Relation("abb", "b"))
-    if family.order is not None and family.order + 1 <= top:
+    if family.order is not None and family.order <= 2 * top:
         rels.append(Relation("a" * (family.order + 1), "a"))
     return rels
 

@@ -1,23 +1,18 @@
 """Independent validator: word classes read off a shortlex completion.
 
-The oracle never consults the reduction engine.  rewriting.complete runs
-a shortlex Knuth-Bendix completion of the defining relations, adopting no
-rule whose lhs is longer than the cap, and the words of length <= max_len
-are classed by their normal forms.  Every rule is a consequence of the
-relations, so two words in one class are provably equal in the presented
-semigroup.  A rewrite makes a word length-lex smaller and never longer,
-so a class's normal form is its length-lex least word and no longer than
-max_len.  When the completion finished, its rules are complete and the
-classes are exactly the semigroup's equality on those words; otherwise
-two words in different classes are merely "not proved equal" with rules
-of at most cap letters.
-
-The cap warning is a saturation heuristic: when the completion did not
-finish, it runs again with rules up to cap + 2 letters long, and the flag
-is set when that changed the partition of the words of length <= max_len,
-or when the re-check itself stopped at rewriting.MAX_RULES rules.
-A bound relation longer than cap + 2 letters is never adopted, so
-closure_classes leaves it out unspelled.
+The oracle never consults the reduction engine.  closure_classes spells
+the family's relations that can act on words of length <= max_len
+(family.relations_of), rewriting.complete runs a shortlex Knuth-Bendix
+completion of them, and those words are classed by their normal forms.
+Every rule is a consequence of the relations, so two words in one class
+are provably equal in the presented semigroup.  A rewrite makes a word
+length-lex smaller and never longer, so a class's normal form is its
+length-lex least word and no longer than max_len.  When the completion
+finished, its rules are complete and the classes are exactly the
+semigroup's equality on those words.  A cap leaves out every rule whose
+lhs is longer than cap letters; the cap warning is set whenever a rule
+was left out, by the cap or by rewriting.MAX_RULES, and then two words in
+different classes are merely "not proved equal".
 
 verify_reducer reduces each word from its runs, read off its letters,
 and numbers each distinct answer once.  It compares closure equality with
@@ -28,34 +23,28 @@ reducer classes.  Only when those counts disagree does it list the
 mismatched pairs, walking the pairs within each class, in
 itertools.combinations order.
 
-Listing mismatches can walk every pair of words up to max_len, so
-verify_reducer's lengths stop at MAX_VERIFY_LEN, and caps stop at
-MAX_CAP.  Both limits, and the relations' alphabet, are checked before
-anything is computed.
+Listing mismatches can walk every pair of words up to max_len, so lengths
+stop at MAX_VERIFY_LEN, checked before anything is computed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import OrthoxError
-from .family import FamilySpec, Relation, relations_of
+from .family import FamilySpec, relations_of
 from . import rewriting
 from .normal_form import Element, reduce_runs
 
-# At both limits `orthox verify` takes 0.11-0.27 s and 16-17 MB for each of
-# the 36 families n, m in {1, 2, 3, inf} and group cases of order
-# {1, 2, 3, 5, inf}: fresh processes, shared 2-vCPU host, Python 3.11.
-MAX_CAP = 15           # the longest rule lhs completion may adopt
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
 
 @dataclass
 class ClosureTable:
     max_len: int
-    cap: int
     classes: dict[str, str]           # word -> length-lex minimal representative,
                                       # words in length-lex order
     cap_warning: bool = False
@@ -81,29 +70,16 @@ class VerifyReport:
 
 def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
                     check_cap: bool = True) -> ClosureTable:
-    """Closure classes of all words of length <= max_len for the family."""
-    cap = _checked_cap(max_len, cap)
-    return closure_from_relations(relations_of(family, cap + 2), max_len, cap, check_cap)
+    """Closure classes of all words of length <= max_len for the family.
 
-
-def closure_from_relations(rels: list[Relation], max_len: int,
-                           cap: int | None = None,
-                           check_cap: bool = True) -> ClosureTable:
-    """Same as closure_classes but over an explicit relation list."""
-    cap = _checked_cap(max_len, cap)
-    for r in rels:
-        if not (r.lhs and r.rhs and set(r.lhs + r.rhs) <= {"a", "b"}):
-            raise OrthoxError(f"relation {r.lhs!r} = {r.rhs!r}: each side "
-                              "must be a nonempty word in a and b")
-    pairs = [(r.lhs, r.rhs) for r in rels]
-    rules, finished = rewriting.complete(pairs, max_lhs=cap)
+    cap limits the lhs of the rules the completion adopts; None sets no limit.
+    """
+    _check_range(max_len, cap)
+    pairs = [(r.lhs, r.rhs) for r in relations_of(family, max_len)]
+    rules, finished = rewriting.complete(pairs, math.inf if cap is None else cap)
     forms = rewriting.normal_forms(rules, max_len)
-    warning = False
-    if check_cap and not finished:
-        wider, _ = rewriting.complete(pairs, max_lhs=cap + 2)
-        warning = (len(wider) == rewriting.MAX_RULES
-                   or rewriting.normal_forms(wider, max_len) != forms)
-    return ClosureTable(max_len, cap, dict(zip(all_words(max_len), forms)), warning)
+    return ClosureTable(max_len, dict(zip(all_words(max_len), forms)),
+                        check_cap and not finished)
 
 
 def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
@@ -113,9 +89,7 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
     names are what a range error blames for max_len and cap, such as the
     options they came from.
     """
-    if max_len > MAX_VERIFY_LEN:
-        raise OrthoxError(f"{names[0]} must be <= {MAX_VERIFY_LEN}, got {max_len}")
-    cap = _checked_cap(max_len, cap, *names)
+    _check_range(max_len, cap, *names)
     table = closure_classes(family, max_len, cap)
     vocab = list(table.classes)
     reps = list(table.classes.values())
@@ -131,18 +105,15 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
                         table.cap_warning)
 
 
-def _checked_cap(max_len: int, cap: int | None, max_len_name: str = "max_len",
-                 cap_name: str = "cap") -> int:
-    """The cap, max_len + 4 when None; OrthoxError naming the bound out of range."""
+def _check_range(max_len: int, cap: int | None, max_len_name: str = "max_len",
+                 cap_name: str = "cap") -> None:
+    """OrthoxError naming the bound out of range."""
     if max_len < 1:
         raise OrthoxError(f"{max_len_name} must be >= 1, got {max_len}")
-    if cap is None:
-        cap, cap_name = max_len + 4, f"{cap_name} (default {max_len_name} + 4)"
-    if max_len > cap:
+    if max_len > MAX_VERIFY_LEN:
+        raise OrthoxError(f"{max_len_name} must be <= {MAX_VERIFY_LEN}, got {max_len}")
+    if cap is not None and max_len > cap:
         raise OrthoxError(f"{max_len_name} must be <= {cap_name}, got {max_len} > {cap}")
-    if cap > MAX_CAP:
-        raise OrthoxError(f"{cap_name} must be <= {MAX_CAP}, got {cap}")
-    return cap
 
 
 def all_words(max_len: int) -> list[str]:

@@ -4,6 +4,7 @@ from orthox import (
     Combinatorial,
     GroupCase,
     OrthoxError,
+    Relation,
     dual_of,
     reduce,
     mirror,
@@ -15,6 +16,8 @@ from orthox.family import (
     parse_bound,
     parse_combinatorial,
 )
+from orthox.oracle import MAX_VERIFY_LEN
+from orthox.rewriting import complete, normal_forms
 
 from conftest import COMBINATORIAL_FIVE, GROUP_CASES
 
@@ -49,11 +52,35 @@ def test_relations_group_flags_and_order():
 
 
 @pytest.mark.parametrize("family, size", [
-    (Combinatorial(3, None), 5), (Combinatorial(None, 4), 6), (GroupCase(True, True, 5), 6)],
-    ids=str)
-def test_longest_leaves_out_longer_bound_relations(family, size):
-    assert relations_of(family, longest=size) == relations_of(family)
-    assert relations_of(family, longest=size - 1) == relations_of(family)[:-1]
+    (Combinatorial(3, None), 5), (Combinatorial(None, 4), 6)], ids=str)
+def test_max_len_leaves_out_longer_bound_relations(family, size):
+    assert relations_of(family, max_len=size) == relations_of(family)
+    assert relations_of(family, max_len=size - 1) == relations_of(family)[:-1]
+
+
+def test_max_len_keeps_orders_up_to_twice_its_length():
+    family = GroupCase(True, True, 5)
+    assert relations_of(family, max_len=3)[-1] == Relation("aaaaaa", "a")
+    assert relations_of(family, max_len=3) == relations_of(family)
+    assert relations_of(family, max_len=2) == relations_of(family)[:-1]
+
+
+def _normal_forms(family, max_len):
+    rules, finished = complete([(r.lhs, r.rhs) for r in relations_of(family)], float("inf"))
+    assert finished, family
+    return normal_forms(rules, max_len)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_orders_past_twice_the_length_act_like_inf(case):
+    # The full order-(2L + 1) presentation has the normal forms of order inf
+    # on the words of at most L letters; in case 4 order 2L does not.
+    infinite = _normal_forms(group_case(case, None), MAX_VERIFY_LEN)
+    for max_len in range(1, MAX_VERIFY_LEN + 1):
+        words = 2 ** (max_len + 1) - 2
+        assert _normal_forms(group_case(case, 2 * max_len + 1), max_len) == infinite[:words]
+        if case == 4:
+            assert _normal_forms(group_case(case, 2 * max_len), max_len) != infinite[:words]
 
 
 @pytest.mark.parametrize("family", COMBINATORIAL_FIVE + GROUP_CASES)

@@ -7,12 +7,10 @@ import pytest
 from orthox import Combinatorial, GroupCase, OrthoxError, Relation, reduce, relations_of
 from orthox import oracle, rewriting
 from orthox.oracle import (
-    MAX_CAP,
     MAX_VERIFY_LEN,
     VerifyReport,
     all_words,
     closure_classes,
-    closure_from_relations,
     verify_reducer,
 )
 
@@ -57,8 +55,8 @@ def test_group_case_class_count():
 
 def test_cap_warning_flags_unfinished_completion():
     # Group case 2 of order 5 completes with rules of at most 6 letters.
-    # At cap 5 one is left out, and the re-check's rules of up to 7
-    # letters change the classes; at cap 8 the completion finishes.
+    # At cap 5 one is left out, which sets the flag; at cap 8 the
+    # completion finishes.
     tight = closure_classes(GroupCase(False, True, 5), 4, 5)
     assert tight.cap_warning
     wide = closure_classes(GroupCase(False, True, 5), 4, 8)
@@ -90,11 +88,6 @@ def test_determinism():
     assert one.classes == two.classes
 
 
-def test_default_cap():
-    table = closure_classes(FREE, 5, check_cap=False)
-    assert table.cap == 9
-
-
 def test_parameter_validation():
     with pytest.raises(OrthoxError):
         closure_classes(FREE, 0, 4)
@@ -107,9 +100,7 @@ def test_range_errors_name_the_bound():
         closure_classes(FREE, 0)
     with pytest.raises(OrthoxError, match=re.escape("max_len must be <= cap, got 5 > 4")):
         closure_classes(FREE, 5, 4)
-    # A defaulted cap says so.
-    with pytest.raises(OrthoxError,
-                       match=re.escape("cap (default max_len + 4) must be <= 15, got 16")):
+    with pytest.raises(OrthoxError, match=re.escape("max_len must be <= 10, got 12")):
         closure_classes(FREE, 12)
     with pytest.raises(OrthoxError, match=re.escape("--max-len must be >= 1, got 0")):
         verify_reducer(FREE, 0, names=("--max-len", "--cap"))
@@ -129,10 +120,10 @@ def test_custom_relations_presentation():
     # a, b mutually inverse with both absorptions: the classic bicyclic axioms
     rels = [Relation("aba", "a"), Relation("bab", "b"),
             Relation("aab", "a"), Relation("abb", "b")]
-    table = closure_from_relations(rels, 4, 8, check_cap=False)
-    assert table.classes["aabb"] == table.classes["ab"]
-    assert table.classes["abab"] == table.classes["ab"]
-    assert table.classes["ab"] != table.classes["ba"]
+    classes, _ = _closure(rels, 4, 8)
+    assert classes["aabb"] == classes["ab"]
+    assert classes["abab"] == classes["ab"]
+    assert classes["ab"] != classes["ba"]
 
 
 # -- references: the bounded closure, built without the completion
@@ -310,29 +301,31 @@ def _finished(rels, cap):
     return rewriting.complete([(r.lhs, r.rhs) for r in rels], cap)[1]
 
 
+def _closure(rels, max_len, cap):
+    """(classes, finished): the completion's normal forms of the words up to max_len."""
+    rules, finished = rewriting.complete([(r.lhs, r.rhs) for r in rels], cap)
+    return dict(zip(all_words(max_len), rewriting.normal_forms(rules, max_len))), finished
+
+
 def assert_contract(rels, max_len, cap, ref, wider=None, exact=None):
-    """The closure in both modes against the reference classes at cap.
+    """The completion's classes against the reference classes at cap.
 
     wider is the reference at a larger cap and exact the semigroup's
-    classes, where known.  Returns whether the completion finished.
+    classes, where known.  Returns the classes and whether the completion
+    finished.
     """
-    finished = _finished(rels, cap)
-    tables = [closure_from_relations(rels, max_len, cap, check_cap) for check_cap in (False, True)]
-    classes = tables[0].classes
-    assert list(tables[1].classes.items()) == list(classes.items())
-    assert not tables[0].cap_warning
+    classes, finished = _closure(rels, max_len, cap)
     assert not _finer(classes, ref), "finer than the reference"
     if exact is not None:
         assert not _finer(exact, classes), "a class the reducer splits"
         if ref == exact:
             assert classes == ref
     if finished:
-        assert not tables[1].cap_warning
         if exact is not None:
             assert classes == exact
         if wider is not None:
             assert not _finer(classes, wider)
-    return finished
+    return classes, finished
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -344,9 +337,13 @@ def test_closure_against_the_references(family):
     finished = set()
     for max_len in range(1, TOP_LEN + 1):
         for cap in range(max_len, TOP_CAP + 1):
-            finished.add(assert_contract(
-                relations_of(family, cap + 2), max_len, cap, _restricted(refs[cap], max_len),
-                exact=_restricted(exact, max_len)))
+            classes, done = assert_contract(
+                relations_of(family, max_len), max_len, cap, _restricted(refs[cap], max_len),
+                exact=_restricted(exact, max_len))
+            for check_cap in (False, True):
+                table = closure_classes(family, max_len, cap, check_cap)
+                assert (table.classes, table.cap_warning) == (classes, check_cap and not done)
+            finished.add(done)
     # A cap below the longest relation leaves a relation out.
     assert finished == {False, True}
 
@@ -361,7 +358,7 @@ def test_closure_against_the_reference_on_random_presentations():
         max_len = rng.randint(1, 5)
         cap = rng.randint(max_len, 9)
         parts = per_edge_partitions(rels, max_len, (cap, cap + 2))
-        finished.append(assert_contract(rels, max_len, cap, parts[cap], wider=parts[cap + 2]))
+        finished.append(assert_contract(rels, max_len, cap, parts[cap], wider=parts[cap + 2])[1])
     assert 100 < sum(finished) < 500
 
 
@@ -384,10 +381,12 @@ def test_closure_matches_per_edge_sweep_at_workload_slots(family, max_len, cap):
     # exact there and does not warn.
     if family == "ab=ba":
         rels = FREE_AXIOMS + [Relation("ab", "ba")]
-        tables = [closure_from_relations(rels, max_len, cap, c) for c in (False, True)]
-    else:
-        rels = relations_of(family, cap + 2)
-        tables = [closure_classes(family, max_len, cap, c) for c in (False, True)]
+        classes, finished = _closure(rels, max_len, cap)
+        assert finished
+        assert per_edge_closure(rels, max_len, cap, True) == (classes, False)
+        return
+    rels = relations_of(family)
+    tables = [closure_classes(family, max_len, cap, c) for c in (False, True)]
     for check_cap, table in zip((False, True), tables):
         classes, warning = per_edge_closure(rels, max_len, cap, check_cap)
         if family == GroupCase(False, False, 5):
@@ -427,10 +426,10 @@ def test_a_completion_that_runs_forever_gives_sound_classes():
     # finishes.  The relation keeps lengths, so the closure at cap max_len
     # is already the semigroup's equality, and the classes match it.
     rels = [Relation("aba", "bab")]
-    for max_len, cap in [(3, 5), (5, 9), (6, 12), (MAX_VERIFY_LEN, MAX_CAP)]:
+    for max_len, cap in [(3, 5), (5, 9), (6, 12), (MAX_VERIFY_LEN, 15)]:
         assert not _finished(rels, cap)
         exact, _ = per_edge_closure(rels, max_len, max_len, False)
-        assert closure_from_relations(rels, max_len, cap, False).classes == exact
+        assert _closure(rels, max_len, cap)[0] == exact
 
 
 def test_two_rules_with_one_lhs():
@@ -438,24 +437,31 @@ def test_two_rules_with_one_lhs():
     # is ba itself, b = a, which a completion keyed by lhs would miss.
     rels = [Relation("b", "ba"), Relation("a", "ba")]
     for max_len, cap in [(1, 2), (2, 3), (3, 5), (4, 8), (5, 9)]:
-        assert _finished(rels, cap)
-        for check_cap in (False, True):
-            table = closure_from_relations(rels, max_len, cap, check_cap)
-            expected = per_edge_closure(rels, max_len, cap, check_cap)
-            assert (table.classes, table.cap_warning) == expected, (max_len, cap, check_cap)
-            assert set(table.classes.values()) == {"a"}
+        classes, finished = _closure(rels, max_len, cap)
+        assert finished
+        assert per_edge_closure(rels, max_len, cap, True) == (classes, False), (max_len, cap)
+        assert set(classes.values()) == {"a"}
 
 
 def test_rule_limit_leaves_sound_classes(monkeypatch):
     family = GroupCase(False, False, 2)
-    rels = relations_of(family, 12)
+    rels = relations_of(family, 5)
     assert _finished(rels, 10)
     monkeypatch.setattr(rewriting, "MAX_RULES", len(rels) + 1)
     assert not _finished(rels, 10)
     report = verify_reducer(family, 5, 10)
     assert not report.reducer_splits_closure
     assert report.closure_splits_reducer     # not proved without the rules past the limit
-    assert report.cap_warning                # and the re-check, cut the same way, says so
+    assert report.cap_warning                # and the flag says so
+
+
+def test_an_order_relation_longer_than_any_cap_is_completed():
+    # a^18 = a joins a^9 and b^9; a cap of 15 leaves it out and says so.
+    report = verify_reducer(GroupCase(True, True, 17), 10)
+    assert not report.closure_splits_reducer and not report.reducer_splits_closure
+    assert not report.cap_warning
+    capped = verify_reducer(GroupCase(True, True, 17), 10, 15)
+    assert capped.closure_splits_reducer and capped.cap_warning
 
 
 def test_pinned_reports():
@@ -470,38 +476,24 @@ def test_pinned_reports():
     assert not report.reducer_splits_closure
 
 
-@pytest.mark.parametrize("rel", [Relation("ab", ""), Relation("", "a"),
-                                 Relation("a^2", "a"), Relation("AB", "ab")],
-                         ids=["empty-rhs", "empty-lhs", "caret", "upper-case"])
-def test_relation_sides_must_be_words_in_a_and_b(monkeypatch, rel):
-    _no_completion(monkeypatch)
-    with pytest.raises(OrthoxError, match=re.escape(f"relation {rel.lhs!r} = {rel.rhs!r}")):
-        closure_from_relations(FREE_AXIOMS + [rel], 3, 5)
-
-
 def _no_completion(monkeypatch):
     def refuse(relations, max_lhs):
         raise AssertionError(f"completed {len(relations)} relations up to {max_lhs} letters")
     monkeypatch.setattr(rewriting, "complete", refuse)
 
 
-def test_cap_limit_rejected_before_enumeration(monkeypatch):
-    _no_completion(monkeypatch)
-    for cap in (MAX_CAP + 1, 40):
-        with pytest.raises(OrthoxError, match=f"cap must be <= {MAX_CAP}"):
-            closure_classes(FREE, 5, cap)
-        with pytest.raises(OrthoxError, match=f"cap must be <= {MAX_CAP}"):
-            closure_from_relations(FREE_AXIOMS, 5, cap, check_cap=False)
-    with pytest.raises(OrthoxError, match=f"cap must be <= {MAX_CAP}"):
-        verify_reducer(FREE, 5, MAX_CAP + 1)
-
-
 def test_verify_length_limit_rejected_before_enumeration(monkeypatch):
     _no_completion(monkeypatch)
     with pytest.raises(OrthoxError, match=f"max_len must be <= {MAX_VERIFY_LEN}"):
-        verify_reducer(FREE, MAX_VERIFY_LEN + 1, MAX_CAP)
+        verify_reducer(FREE, MAX_VERIFY_LEN + 1, 15)
     with pytest.raises(OrthoxError, match=f"max_len must be <= {MAX_VERIFY_LEN}"):
         verify_reducer(FREE, MAX_VERIFY_LEN + 1)
+
+
+def test_closure_length_limit_rejected_before_completion(monkeypatch):
+    _no_completion(monkeypatch)
+    with pytest.raises(OrthoxError, match=f"max_len must be <= {MAX_VERIFY_LEN}"):
+        closure_classes(FREE, MAX_VERIFY_LEN + 1)
 
 
 # -- reference: verify_reducer walking every pair, as it was before counting
@@ -556,15 +548,16 @@ def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch)
     (Combinatorial(3, 10 ** 12), Combinatorial(3, None)),
 ], ids=str)
 def test_huge_bound_verifies_like_infinite(huge, infinite):
-    for max_len, cap in [(4, 8), (6, 10), (MAX_VERIFY_LEN, MAX_CAP)]:
+    for max_len, cap in [(4, 8), (6, 10), (MAX_VERIFY_LEN, 15), (MAX_VERIFY_LEN, None)]:
         assert verify_reducer(huge, max_len, cap) == verify_reducer(infinite, max_len, cap)
 
 
 @pytest.mark.parametrize("family", [GroupCase(True, False, 2), GroupCase(True, True, 2)],
                          ids=str)
 def test_a_relation_one_past_the_cap_is_kept(family):
-    # a^3 = a is cap + 1 letters long, yet it acts in the re-check at caps
-    # cap + 1 and cap + 2: without it the cap warning would be lost.
+    # a^3 = a is longer than max_len and the cap, yet it is spelled.  The
+    # reference's saturation at cap + 2 needs it to see that the cap
+    # changes the classes; the completion, cut at the cap, flags it too.
     rels = relations_of(family)
     expected = per_edge_closure(rels, 2, 2, True)
     assert expected[1] and not per_edge_closure(rels[:-1], 2, 2, True)[1]
