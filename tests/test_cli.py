@@ -232,6 +232,8 @@ def test_bound_below_1_exit_1(capsys, command):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["verify", "--family", "inf,inf", "--cap", "6"],
+     "OrthoxError: --max-len must be <= --cap, got 7 > 6"),
     (["verify", "--family", "inf,inf", "--max-len", "11", "--cap", "12"],
      "OrthoxError: --max-len must be <= 10, got 11"),
     (["idem", "--family", "inf,inf", "--bound", "10001"],
@@ -243,7 +245,7 @@ def test_bound_below_1_exit_1(capsys, command):
      "got EggboxWindow(rows_up=0, rows_down=101, cols_left=0, cols_right=0)"),
     (["eggbox", "--group-case", "1", "--reps", "1001"],
      "OrthoxError: reps must be >= 0 and <= 1000, got 1001"),
-], ids=["max-len", "idem-bound", "band-bound", "eggbox-window", "eggbox-reps"])
+], ids=["cap", "max-len", "idem-bound", "band-bound", "eggbox-window", "eggbox-reps"])
 def test_size_limits_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")

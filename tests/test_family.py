@@ -53,7 +53,7 @@ def test_relations_group_flags_and_order():
 
 @pytest.mark.parametrize("family, size", [
     (Combinatorial(3, None), 5), (Combinatorial(None, 4), 6)], ids=str)
-def test_max_len_leaves_out_longer_bound_relations(family, size):
+def test_longest_leaves_out_longer_bound_relations(family, size):
     assert relations_of(family, max_len=size) == relations_of(family)
     assert relations_of(family, max_len=size - 1) == relations_of(family)[:-1]
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -86,6 +87,21 @@ def test_determinism():
     one = closure_classes(FREE, 5, 9, check_cap=False)
     two = closure_classes(FREE, 5, 9, check_cap=False)
     assert one.classes == two.classes
+
+
+def test_default_cap(monkeypatch):
+    # With no cap the completion may adopt rules of any length.
+    seen = []
+    complete = rewriting.complete
+
+    def spy(relations, max_lhs):
+        seen.append(max_lhs)
+        return complete(relations, max_lhs)
+
+    monkeypatch.setattr(rewriting, "complete", spy)
+    table = closure_classes(FREE, 5, check_cap=False)
+    assert seen == [math.inf]
+    assert table.classes == closure_classes(FREE, 5, 9, check_cap=False).classes
 
 
 def test_parameter_validation():
@@ -480,6 +496,15 @@ def _no_completion(monkeypatch):
     def refuse(relations, max_lhs):
         raise AssertionError(f"completed {len(relations)} relations up to {max_lhs} letters")
     monkeypatch.setattr(rewriting, "complete", refuse)
+
+
+def test_cap_limit_rejected_before_enumeration(monkeypatch):
+    _no_completion(monkeypatch)
+    for cap in (4, 0):
+        with pytest.raises(OrthoxError, match=f"max_len must be <= cap, got 5 > {cap}"):
+            closure_classes(FREE, 5, cap)
+        with pytest.raises(OrthoxError, match=f"max_len must be <= cap, got 5 > {cap}"):
+            verify_reducer(FREE, 5, cap)
 
 
 def test_verify_length_limit_rejected_before_enumeration(monkeypatch):
