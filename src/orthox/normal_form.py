@@ -15,7 +15,8 @@ drops to (0, k-1), a tail (l, 1) with l > n drops to (l-1, 0).
 
 Group-case elements carry the letter balance g = #a - #b (a residue when
 the generator order is finite) plus the first and last letters where the
-family keeps them meaningful.
+family keeps them meaningful.  In every family format_element writes the
+shortlex-least word of the element, which is the oracle's normal form.
 
 Eggbox addressing lives here: element_at builds the element at a row
 (head) and column (tail), and window_rows / window_cols list the rows and
@@ -197,7 +198,7 @@ def order_of(x: Element) -> Finite | Infinite:
 
 
 def format_element(x: Element) -> str:
-    """Canonical word of x in caret notation; round-trips through reduce."""
+    """Shortlex-least word of x in caret notation; round-trips through reduce."""
     return format_runs(element_runs(x))
 
 
@@ -352,29 +353,31 @@ def _bounded(family: Combinatorial, p: Part | None,
 # -- group-case canonical words ---------------------------------------
 
 def _group_runs(family: GroupCase, form: GroupElement) -> list[Run]:
-    """The shortest word with balance g and the tracked first/last letters.
+    """The shortlex-least word with balance g and the tracked first/last letters.
 
-    An untracked end letter is the one the balance favours, or at balance
-    0 the opposite of the other end ("ab" when both are free).  A finite
-    order reads a nonzero residue g as g - order when the word is led by
-    b: by its row, else its column.
+    At a finite order d the balance may be g + d, g or g - d (any other
+    only lengthens the word), and the shortest of the three words wins.
+    Of two as short, the one of higher balance has a where they first
+    differ, so it comes first and min keeps it.
     """
-    g, row, col = form.g, form.row, form.col
-    if family.order is not None and g and (row or col) == "b":
-        g -= family.order
-    row = row or _free_end(g, col)
-    col = col or _free_end(g, row)
-    return _shortest(g, row, col)
+    g, d = form.g, family.order
+    if d is None:
+        return _shortest(g, form.row, form.col)
+    return min([_shortest(h, form.row, form.col) for h in (g + d, g, g - d)],
+               key=lambda runs: sum(count for _, count in runs))
 
 
 def _free_end(g: int, other: str | None) -> str:
+    """An untracked end: the letter g favours; at g = 0 the other end's opposite, or a."""
     if g:
         return "a" if g > 0 else "b"
     return "b" if other == "a" else "a"
 
 
-def _shortest(g: int, first: str, last: str) -> list[Run]:
-    """The shortest word with balance g that starts with `first`, ends with `last`."""
+def _shortest(g: int, first: str | None, last: str | None) -> list[Run]:
+    """The shortest word with balance g from `first` to `last`; None is untracked."""
+    first = first or _free_end(g, last)
+    last = last or _free_end(g, first)
     if first != last:
         count = {"a": max(g, 0) + 1, "b": max(-g, 0) + 1}
         return [(first, count[first]), (last, count[last])]

@@ -39,11 +39,11 @@ def eggbox_grid(family: FamilySpec, window: EggboxWindow,
     """
     if not 0 <= reps <= MAX_REPS:
         raise OrthoxError(f"reps must be >= 0 and <= {MAX_REPS}, got {reps}")
-    if isinstance(family, GroupCase):
-        return _group_grid(family, reps)
     if not all(0 <= v <= MAX_WINDOW_COUNT for v in window):
         raise WindowExceedsBounds(
             f"window counts must be >= 0 and <= {MAX_WINDOW_COUNT}, got {window}")
+    if isinstance(family, GroupCase):
+        return _group_grid(family, reps)
     n, m = family.right_bound, family.left_bound
     if not family.admits_head(1, window.rows_up + 1):
         raise WindowExceedsBounds(

@@ -243,9 +243,13 @@ def test_bound_below_1_exit_1(capsys, command):
     (["eggbox", "--family", "inf,inf", "--window", "0,101,0,0"],
      "WindowExceedsBounds: window counts must be >= 0 and <= 100, "
      "got EggboxWindow(rows_up=0, rows_down=101, cols_left=0, cols_right=0)"),
+    (["eggbox", "--group-case", "1", "--window", "0,101,0,0"],
+     "WindowExceedsBounds: window counts must be >= 0 and <= 100, "
+     "got EggboxWindow(rows_up=0, rows_down=101, cols_left=0, cols_right=0)"),
     (["eggbox", "--group-case", "1", "--reps", "1001"],
      "OrthoxError: reps must be >= 0 and <= 1000, got 1001"),
-], ids=["cap", "max-len", "idem-bound", "band-bound", "eggbox-window", "eggbox-reps"])
+], ids=["cap", "max-len", "idem-bound", "band-bound", "eggbox-window",
+        "group-eggbox-window", "eggbox-reps"])
 def test_size_limits_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")

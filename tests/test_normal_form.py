@@ -33,7 +33,7 @@ from orthox import (
 )
 from orthox.errors import BadExponent, OrthoxError
 from orthox.normal_form import element_to_json, in_window, reduce_runs, sort_key
-from orthox.oracle import all_words
+from orthox.oracle import all_words, closure_classes
 
 from conftest import COMBINATORIAL_FIVE, EVERY_FAMILY, RUN_LISTS, caret, flat
 
@@ -371,20 +371,38 @@ def test_canonical_inverse_is_mirrored_spelling(family, runs):
     assert y == reduce(mirror(parse_word(format_element(x))), family)
 
 
-@pytest.mark.parametrize("family", [
-    GroupCase(left, right, None) for left in (False, True) for right in (False, True)])
+GROUP_SWEEP = [GroupCase(left, right, order) for left in (False, True)
+               for right in (False, True) for order in (*range(1, 13), None)]
+COMBINATORIAL_SWEEP = [Combinatorial(n, m) for n in (1, 2, 3, None) for m in (1, 2, 3, None)]
+
+
+def assert_oracle_normal_forms(family):
+    """The spelled canonical word of every word up to 9 letters is its oracle normal form."""
+    table = closure_classes(family, 9)
+    assert not table.cap_warning
+    for w, form in table.classes.items():
+        assert parse_word(format_element(reduce(w, family))) == form, (w, form)
+
+
+@pytest.mark.parametrize("family", GROUP_SWEEP)
 def test_group_words_are_shortlex_least(family):
-    # With infinite order the canonical word is the shortlex-least word of
-    # its element; a shorter or equal-length smaller word would win.
+    # The canonical word is the shortlex-least word of its element; a
+    # shorter or equal-length smaller word would win.
     for w in all_words(8):
         canon = parse_word(format_element(reduce(w, family)))
         assert (len(canon), canon) <= (len(w), w), (w, canon)
+    assert_oracle_normal_forms(family)
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP)
+def test_combinatorial_words_are_oracle_normal_forms(family):
+    assert_oracle_normal_forms(family)
 
 
 def test_group_words_finite_order():
     case1 = GroupCase(False, False, 5)
     assert format_element(Element(case1, GroupElement(0, "a", "a"))) == "ab^2a"
-    assert format_element(Element(case1, GroupElement(2, "b", "a"))) == "b^4a"
+    assert format_element(Element(case1, GroupElement(2, "b", "a"))) == "ba^3"
     assert format_element(Element(case1, GroupElement(2, "a", "b"))) == "a^3b"
     assert format_element(Element(case1, GroupElement(3, "b", "b"))) == "b^2"
     case2 = GroupCase(False, True, 5)
@@ -393,6 +411,20 @@ def test_group_words_finite_order():
     case4 = GroupCase(True, True, 3)
     assert format_element(Element(case4, GroupElement(0, None, None))) == "ab"
     assert format_element(Element(case4, GroupElement(1, None, None))) == "a"
+
+
+def test_group_words_at_a_huge_order():
+    # Each candidate word carries an exponent near d / 2 when g is; none is spelled.
+    d = 10**12
+    start = time.perf_counter()
+    assert format_element(reduce("b^999999999999", GroupCase(False, False, d))) == "ba^3b"
+    for family in (GroupCase(left, right, d) for left in (False, True) for right in (False, True)):
+        for g in range(d // 2 - 2, d // 2 + 3):
+            for row in family.rows:
+                for col in family.cols:
+                    x = Element(family, GroupElement(g, row, col))
+                    assert reduce(format_element(x), family) == x
+    assert time.perf_counter() - start < 1.0
 
 
 N = 10**18

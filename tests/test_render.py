@@ -78,7 +78,7 @@ def test_group_grids():
     assert eggbox_grid(GroupCase(True, False, None), EggboxWindow(0, 0, 0, 0)) == [
         ["H_a: ab, a, a^2"], ["H_b: ba, ba^2, ba^3"]]
     assert eggbox_grid(GroupCase(True, True, 2), EggboxWindow(0, 0, 0, 0)) == [
-        ["H_a: ab, a"]]
+        ["H_a: a^2, a"]]
 
 
 def test_group_cell_reps_roundtrip():
