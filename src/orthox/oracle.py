@@ -14,8 +14,10 @@ lhs is longer than cap letters; the cap warning is set whenever a rule
 was left out, by the cap or by rewriting.MAX_RULES, and then two words in
 different classes are merely "not proved equal".
 
-verify_reducer reduces each word from its runs, read off its letters,
-and numbers each distinct answer once.  It compares closure equality with
+verify_reducer takes the reducer's answers from one prefix-shared pass,
+normal_form.reduce_words, which builds each word on a shorter word
+already reduced (the tests tie that pass to reduce word by word), and
+numbers each distinct answer once.  It compares closure equality with
 reducer equality over all pairs of words up to max_len by counting: the
 pairs equal under both, under the closure and under the reducer are sums
 of C(size, 2) over the joint classes, the closure classes and the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from .errors import OrthoxError
 from .family import FamilySpec, relations_of
 from . import rewriting
-from .normal_form import Element, reduce_runs
+from .normal_form import Element, reduce_words
 
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
@@ -95,7 +97,7 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
     reps = list(table.classes.values())
     # Each distinct answer becomes an int once, so the compare hashes ints.
     ids: dict[Element, int] = {}
-    canon = [ids.setdefault(reduce_runs(_runs(w), family), len(ids)) for w in vocab]
+    canon = [ids.setdefault(x, len(ids)) for x in reduce_words(vocab, family)]
     both = _equal_pairs(zip(reps, canon))
     reducer_splits = _split_pairs(vocab, reps, canon) if _equal_pairs(reps) > both else []
     closure_splits = _split_pairs(vocab, canon, reps) if _equal_pairs(canon) > both else []
@@ -122,11 +124,6 @@ def all_words(max_len: int) -> list[str]:
     for length in range(1, max_len + 1):
         out.extend("".join(t) for t in itertools.product("ab", repeat=length))
     return out
-
-
-def _runs(word: str) -> list[tuple[str, int]]:
-    """A word's maximal runs, read off its letters."""
-    return [(letter, len(list(group))) for letter, group in itertools.groupby(word)]
 
 
 def _equal_pairs(keys) -> int:

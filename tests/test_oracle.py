@@ -552,12 +552,15 @@ def test_counting_compare_matches_pairwise_walk(family, max_len, cap):
 
 
 def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch):
-    # The same fault, aa -> a, planted in the runs verify_reducer reduces
+    # The same fault, aa -> a, planted in the answers verify_reducer reads
     # and in the words the pairwise walk reduces.
-    real = oracle.reduce_runs
-    monkeypatch.setattr(oracle, "reduce_runs",
-                        lambda runs, family: real([("a", 1)] if runs == [("a", 2)] else runs,
-                                                  family))
+    real = oracle.reduce_words
+
+    def faulty(words, family):
+        answers = dict(zip(words, real(words, family)))
+        return [answers["a" if w == "aa" else w] for w in words]
+
+    monkeypatch.setattr(oracle, "reduce_words", faulty)
     report = verify_reducer(FREE, 5, 9)
     assert report.reducer_splits_closure and report.closure_splits_reducer
     assert report == _reference_verify(
