@@ -43,6 +43,8 @@ from .words import (
 
 Part = tuple[int, int]
 
+MAX_ELEMENTS_BOUND = 300    # window_elements: 360,000 elements in the free family
+
 
 @dataclass(frozen=True)
 class ReducedWord:
@@ -104,44 +106,6 @@ def reduce_runs(runs: list[Run], family: FamilySpec) -> Element:
     return _reduce(runs, family)
 
 
-def reduce_words(words: list[str], family: FamilySpec) -> list[Element]:
-    """[reduce(w, family) for w in words], each word built on a shorter one.
-
-    words must be flat, with every proper prefix of a word listed before
-    it, as oracle.all_words lists them; OrthoxError otherwise.  A
-    combinatorial word w = h a^k b^l, where h is empty or ends in b, costs
-    one _step on the fold state of h.  A group-case word's maximal runs
-    extend those of the word one letter shorter.
-    """
-    group = isinstance(family, GroupCase)
-    done: dict[str, object] = {}        # word -> its runs or its fold state
-    elements: dict[tuple[Part | None, Part | None], Element] = {}
-    out = []
-    for w in words:
-        prefix = w[:-1]
-        if w[-1:] not in ("a", "b") or prefix and prefix not in done:
-            raise OrthoxError(
-                f"reduce_words needs flat words listed after their prefixes, got {w!r}")
-        if group:
-            runs = list(done[prefix]) if prefix else []
-            if runs and runs[-1][0] == w[-1]:
-                runs[-1] = (w[-1], runs[-1][1] + 1)
-            else:
-                runs.append((w[-1], 1))
-            done[w] = runs
-            out.append(_reduce(runs, family))
-            continue
-        body = w.rstrip("b")
-        head = body.rstrip("a")
-        state = done[w] = _step(family, done[head] if head else None,
-                                len(body) - len(head), len(w) - len(body))
-        x = elements.get(state)
-        if x is None:
-            x = elements[state] = element_at(family, *state)
-        out.append(x)
-    return out
-
-
 def _reduce(runs: list[Run], family: FamilySpec) -> Element:
     """reduce_runs on runs known to be maximal."""
     if isinstance(family, GroupCase):
@@ -149,16 +113,10 @@ def _reduce(runs: list[Run], family: FamilySpec) -> Element:
                                             *family.cell(runs[0][0], runs[-1][0])))
     acc: tuple[Part | None, Part | None] | None = None
     for k, l in run_syllables(runs):
-        acc = _step(family, acc, k, l)
+        syl = _bounded(family, *_abridge(k, l))
+        acc = syl if acc is None else _bounded(family, *_combine(*acc, *syl))
     assert acc is not None
     return element_at(family, *acc)
-
-
-def _step(family: Combinatorial, acc: tuple[Part | None, Part | None] | None,
-          k: int, l: int) -> tuple[Part | None, Part | None]:
-    """Fold the syllable a^k b^l into acc, the parts so far (None before the first)."""
-    syl = _bounded(family, *_abridge(k, l))
-    return syl if acc is None else _bounded(family, *_combine(*acc, *syl))
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -282,10 +240,12 @@ def sort_key(x: Element):
     return (x.form.g, x.form.row or "", x.form.col or "")
 
 
-def check_bound(bound: int) -> None:
-    """Reject a window bound below 1."""
+def check_bound(bound: int, top: float = math.inf) -> None:
+    """Reject a window bound below 1 or above top."""
     if bound < 1:
         raise OrthoxError(f"bound must be >= 1, got {bound}")
+    if bound > top:
+        raise OrthoxError(f"bound must be <= {top}, got {bound}")
 
 
 def in_window(x: Element, bound: int) -> bool:
@@ -297,8 +257,12 @@ def in_window(x: Element, bound: int) -> bool:
 
 
 def window_elements(family: FamilySpec, bound: int) -> list[Element]:
-    """All canonical elements whose exponents (or balance) fit the bound."""
-    check_bound(bound)
+    """All canonical elements whose exponents (or balance) fit the bound.
+
+    A combinatorial window holds O(bound^2) elements, so bound stops at
+    MAX_ELEMENTS_BOUND.
+    """
+    check_bound(bound, MAX_ELEMENTS_BOUND)
     if isinstance(family, GroupCase):
         if family.order is not None:
             gs = range(family.order)

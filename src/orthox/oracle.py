@@ -14,16 +14,18 @@ lhs is longer than cap letters; the cap warning is set whenever a rule
 was left out, by the cap or by rewriting.MAX_RULES, and then two words in
 different classes are merely "not proved equal".
 
-verify_reducer takes the reducer's answers from one prefix-shared pass,
-normal_form.reduce_words, which builds each word on a shorter word
-already reduced (the tests tie that pass to reduce word by word), and
-numbers each distinct answer once.  It compares closure equality with
-reducer equality over all pairs of words up to max_len by counting: the
-pairs equal under both, under the closure and under the reducer are sums
-of C(size, 2) over the joint classes, the closure classes and the
-reducer classes.  Only when those counts disagree does it list the
-mismatched pairs, walking the pairs within each class, in
-itertools.combinations order.
+verify_reducer reads the reducer's answers off the right Cayley graph of
+the generators: reduce(w x) = multiply(reduce(w), reduce(x)), so each
+word's answer is its one-letter-shorter prefix's answer times its last
+letter.  Each distinct answer is numbered once, and the graph maps
+(answer, letter) to the answer of the product; multiply runs only when
+the graph gains an edge, at most twice per distinct answer.  It compares
+closure equality with reducer equality over all pairs of words up to
+max_len by counting: the pairs equal under both, under the closure and
+under the reducer are sums of C(size, 2) over the joint classes, the
+closure classes and the reducer classes.  Only when those counts
+disagree does it list the mismatched pairs, walking the pairs within
+each class, in itertools.combinations order.
 
 Listing mismatches can walk every pair of words up to max_len, so lengths
 stop at MAX_VERIFY_LEN, checked before anything is computed.
@@ -39,14 +41,13 @@ from dataclasses import dataclass
 from .errors import OrthoxError
 from .family import FamilySpec, relations_of
 from . import rewriting
-from .normal_form import Element, reduce_words
+from .normal_form import Element, multiply, reduce
 
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
 
 @dataclass
 class ClosureTable:
-    max_len: int
     classes: dict[str, str]           # word -> length-lex minimal representative,
                                       # words in length-lex order
     cap_warning: bool = False
@@ -80,7 +81,7 @@ def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
     pairs = [(r.lhs, r.rhs) for r in relations_of(family, max_len)]
     rules, finished = rewriting.complete(pairs, math.inf if cap is None else cap)
     forms = rewriting.normal_forms(rules, max_len)
-    return ClosureTable(max_len, dict(zip(all_words(max_len), forms)),
+    return ClosureTable(dict(zip(all_words(max_len), forms)),
                         check_cap and not finished)
 
 
@@ -95,9 +96,7 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
     table = closure_classes(family, max_len, cap)
     vocab = list(table.classes)
     reps = list(table.classes.values())
-    # Each distinct answer becomes an int once, so the compare hashes ints.
-    ids: dict[Element, int] = {}
-    canon = [ids.setdefault(x, len(ids)) for x in reduce_words(vocab, family)]
+    canon, _ = _cayley_walk(family, max_len)
     both = _equal_pairs(zip(reps, canon))
     reducer_splits = _split_pairs(vocab, reps, canon) if _equal_pairs(reps) > both else []
     closure_splits = _split_pairs(vocab, canon, reps) if _equal_pairs(canon) > both else []
@@ -105,6 +104,32 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
                   - len(reducer_splits) - len(closure_splits))
     return VerifyReport(agreements, reducer_splits, closure_splits,
                         table.cap_warning)
+
+
+def _cayley_walk(family: FamilySpec, max_len: int) -> tuple[list[int], list[Element]]:
+    """The answer id of every word up to max_len in length-lex order, and the answers.
+
+    Word n is word n // 2 - 1 followed by letter n & 1, as in
+    rewriting.normal_forms, and words 0 and 1 are the letters a and b
+    themselves, which may be one element and then share an id.
+    """
+    ids: dict[Element, int] = {}
+    answers: list[Element] = []                 # by id
+    graph: dict[tuple[int, int], int] = {}      # (answer id, letter) -> answer id
+
+    def number(x: Element) -> int:
+        if x not in ids:
+            ids[x] = len(answers)
+            answers.append(x)
+        return ids[x]
+
+    out = [number(reduce(letter, family)) for letter in "ab"]
+    for n in range(2, 2 ** (max_len + 1) - 2):
+        edge = (out[n // 2 - 1], n & 1)
+        if edge not in graph:
+            graph[edge] = number(multiply(answers[edge[0]], answers[out[edge[1]]]))
+        out.append(graph[edge])
+    return out, answers
 
 
 def _check_range(max_len: int, cap: int | None, max_len_name: str = "max_len",

@@ -104,9 +104,7 @@ def idempotents_window(family: FamilySpec, bound: int) -> list[Element]:
     The idempotents are ab and the two quadruples (i, k, k - i + j, j) of
     each eggbox row (i, k), as far as the family bounds admit them.
     """
-    check_bound(bound)
-    if bound > MAX_WINDOW_BOUND:
-        raise OrthoxError(f"bound must be <= {MAX_WINDOW_BOUND}, got {bound}")
+    check_bound(bound, MAX_WINDOW_BOUND)
     if isinstance(family, GroupCase):
         return [Element(family, GroupElement(0, r, c))
                 for r in family.rows for c in family.cols]
@@ -148,11 +146,12 @@ def local_chain(e: Element, family: FamilySpec, bound: int) -> list[Element]:
     They form a chain, the uniformity of the band seen at window scale:
     below a combinatorial idempotent lie its covers' covers, with
     exponents that never fall, so the chain stops where it leaves the
-    window.  A group-case idempotent has nothing below it.
+    window.  A group-case idempotent has nothing below it.  The chain is
+    O(bound) long, so bound stops at MAX_WINDOW_BOUND.
     """
     if not is_idempotent(e):
         raise NotIdempotent("local_chain starts from an idempotent")
-    check_bound(bound)
+    check_bound(bound, MAX_WINDOW_BOUND)
     if e.family != family:
         raise FamilyMismatch(f"local_chain in {family} got an element of {e.family}")
     chain = [e]

@@ -11,6 +11,8 @@ COMBINATORIAL_FIVE = [
     Combinatorial(1, 1),
 ]
 
+COMBINATORIAL_SWEEP = [Combinatorial(n, m) for n in (1, 2, 3, None) for m in (1, 2, 3, None)]
+
 GROUP_CASES = [GroupCase(la, rb, order)
                for la in (False, True)
                for rb in (False, True)

@@ -33,10 +33,23 @@ from orthox import (
 )
 from orthox import normal_form
 from orthox.errors import BadExponent, OrthoxError
-from orthox.normal_form import element_to_json, in_window, reduce_runs, reduce_words, sort_key
+from orthox.normal_form import (
+    MAX_ELEMENTS_BOUND,
+    element_to_json,
+    in_window,
+    reduce_runs,
+    sort_key,
+)
 from orthox.oracle import all_words, closure_classes
 
-from conftest import COMBINATORIAL_FIVE, EVERY_FAMILY, GROUP_CASES, RUN_LISTS, caret, flat
+from conftest import (
+    COMBINATORIAL_FIVE,
+    COMBINATORIAL_SWEEP,
+    EVERY_FAMILY,
+    RUN_LISTS,
+    caret,
+    flat,
+)
 
 FREE = Combinatorial(None, None)
 words_st = st.text(alphabet="ab", min_size=1, max_size=14)
@@ -174,6 +187,18 @@ def test_window_elements_match_reduced_words(family):
     for bound in range(1, 9):
         in_it = sorted((x for x in reduced if in_window(x, bound)), key=sort_key)
         assert window_elements(family, bound) == in_it, bound
+
+
+def test_window_elements_bound_limit_rejected_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built an element {args}")
+    monkeypatch.setattr(normal_form, "element_at", refuse)
+    monkeypatch.setattr(normal_form, "Element", refuse)
+    for family in (FREE, Combinatorial(1, 1), GroupCase(False, False, None)):
+        for bound in (MAX_ELEMENTS_BOUND + 1, 10 ** 6):
+            with pytest.raises(OrthoxError,
+                               match=f"bound must be <= {MAX_ELEMENTS_BOUND}, got {bound}"):
+                window_elements(family, bound)
 
 
 @pytest.mark.parametrize("family", COMBINATORIAL_EVERY, ids=str)
@@ -374,7 +399,6 @@ def test_canonical_inverse_is_mirrored_spelling(family, runs):
 
 GROUP_SWEEP = [GroupCase(left, right, order) for left in (False, True)
                for right in (False, True) for order in (*range(1, 13), None)]
-COMBINATORIAL_SWEEP = [Combinatorial(n, m) for n in (1, 2, 3, None) for m in (1, 2, 3, None)]
 
 
 def assert_oracle_normal_forms(family):
@@ -398,39 +422,6 @@ def test_group_words_are_shortlex_least(family):
 @pytest.mark.parametrize("family", COMBINATORIAL_SWEEP)
 def test_combinatorial_words_are_oracle_normal_forms(family):
     assert_oracle_normal_forms(family)
-
-
-# -- the prefix-shared pass verify reduces with ------------------------
-
-@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP + GROUP_CASES, ids=str)
-def test_reduce_words_equals_reduce(family):
-    words = all_words(10)
-    assert reduce_words(words, family) == [reduce(w, family) for w in words]
-
-
-def test_reduce_words_folds_one_syllable_per_word(monkeypatch):
-    calls = []
-    real = normal_form._step
-    monkeypatch.setattr(normal_form, "_step",
-                        lambda *args: calls.append(args) or real(*args))
-    words = all_words(8)
-    reduce_words(words, Combinatorial(3, 2))
-    assert len(calls) == len(words)
-
-
-@pytest.mark.parametrize("words", [
-    ["aba"],                  # its prefixes a and ab are missing
-    ["a", "b", "ab", "bab"],  # ba is missing, though bab's head b is listed
-    ["ab", "a"],
-    ["a", "ac"],
-    ["a^2"],
-    [""],
-], ids=["missing-prefixes", "missing-prefix-past-the-head", "prefix-listed-after",
-        "letter-c", "caret", "empty"])
-@pytest.mark.parametrize("family", [FREE, GroupCase(False, False, 3)], ids=str)
-def test_reduce_words_rejects_words_out_of_prefix_order(family, words):
-    with pytest.raises(OrthoxError):
-        reduce_words(words, family)
 
 
 def test_group_words_finite_order():

@@ -2,10 +2,19 @@ import itertools
 import math
 import random
 import re
+from functools import reduce as fold
 
 import pytest
 
-from orthox import Combinatorial, GroupCase, OrthoxError, Relation, reduce, relations_of
+from orthox import (
+    Combinatorial,
+    GroupCase,
+    OrthoxError,
+    Relation,
+    multiply,
+    reduce,
+    relations_of,
+)
 from orthox import oracle, rewriting
 from orthox.oracle import (
     MAX_VERIFY_LEN,
@@ -15,7 +24,7 @@ from orthox.oracle import (
     verify_reducer,
 )
 
-from conftest import COMBINATORIAL_FIVE, GROUP_CASES
+from conftest import COMBINATORIAL_FIVE, COMBINATORIAL_SWEEP, GROUP_CASES
 
 FREE = Combinatorial(None, None)
 BICYCLIC = Combinatorial(1, 1)
@@ -544,6 +553,8 @@ def _reference_verify(family, max_len, cap, reducer=reduce):
 @pytest.mark.parametrize("family, max_len, cap", [
     (Combinatorial(3, 2), 5, 9),
     (GroupCase(False, True, 5), 4, 5),     # cap too small: closure splits
+    (GroupCase(True, True, 1), 2, 2),      # a = b, and the cap splits them
+    (GroupCase(True, True, 2), 2, 2),
 ], ids=str)
 def test_counting_compare_matches_pairwise_walk(family, max_len, cap):
     report = verify_reducer(family, max_len, cap)
@@ -552,19 +563,40 @@ def test_counting_compare_matches_pairwise_walk(family, max_len, cap):
 
 
 def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch):
-    # The same fault, aa -> a, planted in the answers verify_reducer reads
-    # and in the words the pairwise walk reduces.
-    real = oracle.reduce_words
+    # The same fault, a a -> a, planted in the multiply verify_reducer's
+    # walk calls and in the letter-by-letter products the pairwise walk
+    # reduces with.
+    a = reduce("a", FREE)
 
-    def faulty(words, family):
-        answers = dict(zip(words, real(words, family)))
-        return [answers["a" if w == "aa" else w] for w in words]
+    def faulty(x, y):
+        return a if x == y == a else multiply(x, y)
 
-    monkeypatch.setattr(oracle, "reduce_words", faulty)
+    monkeypatch.setattr(oracle, "multiply", faulty)
     report = verify_reducer(FREE, 5, 9)
     assert report.reducer_splits_closure and report.closure_splits_reducer
     assert report == _reference_verify(
-        FREE, 5, 9, lambda word, family: reduce("a" if word == "aa" else word, family))
+        FREE, 5, 9, lambda word, family: fold(faulty, [reduce(c, family) for c in word]))
+
+
+# -- the reducer's answers, read off the generators' Cayley graph
+
+@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP + GROUP_CASES, ids=str)
+def test_cayley_walk_equals_reduce(family):
+    # GROUP_CASES holds GroupCase(True, True, d) at d = 1 and 2, where a = b.
+    ids, answers = oracle._cayley_walk(family, MAX_VERIFY_LEN)
+    assert len(set(answers)) == len(answers)
+    assert [answers[n] for n in ids] == [reduce(w, family) for w in all_words(MAX_VERIFY_LEN)]
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP + GROUP_CASES, ids=str)
+def test_cayley_walk_multiplies_once_per_edge(family, monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "multiply", lambda x, y: calls.append(x) or multiply(x, y))
+    ids, answers = oracle._cayley_walk(family, MAX_VERIFY_LEN)
+    assert len(ids) == len(all_words(MAX_VERIFY_LEN))
+    # Each answer has two edges out, so at most 2 x answers multiplies,
+    # far fewer than one per word.
+    assert len(calls) <= 2 * len(answers) < len(ids) - 2
 
 
 # -- bound relations too long to act on the closure

@@ -9,6 +9,7 @@ from orthox import (
     GroupCase,
     NotCombinatorial,
     NotIdempotent,
+    OrthoxError,
     WrongFamily,
     format_element,
     is_idempotent,
@@ -16,8 +17,10 @@ from orthox import (
     reduce,
     window_elements,
 )
+from orthox import structure
 from orthox.normal_form import sort_key
 from orthox.structure import (
+    MAX_WINDOW_BOUND,
     EggboxCoord,
     Piece,
     band_diagram,
@@ -164,6 +167,18 @@ def test_local_chain_examples():
         "ab^2a", "ab^3a^2", "ab^4a^3"]
     with pytest.raises(NotIdempotent):
         local_chain(reduce("a", FREE), FREE, 3)
+
+
+def test_local_chain_bound_limit_rejected_before_walking(monkeypatch):
+    def refuse(e):
+        raise AssertionError(f"walked below {format_element(e)}")
+    monkeypatch.setattr(structure, "_cover", refuse)
+    e = reduce("ab", FREE)
+    for bound in (MAX_WINDOW_BOUND + 1, 10 ** 6):
+        with pytest.raises(OrthoxError, match=f"bound must be <= {MAX_WINDOW_BOUND}, got {bound}"):
+            local_chain(e, FREE, bound)
+    monkeypatch.undo()
+    assert len(local_chain(e, FREE, MAX_WINDOW_BOUND)) == MAX_WINDOW_BOUND
 
 
 def test_piece_examples():
