@@ -10,17 +10,19 @@ a^i b^k a^l b^j with i, j in {0, 1}.  Exactly one shape holds:
 The product of two elements is computed by colliding the tail of the left
 factor with the head of the right factor into a single run a^x b^y, which
 re-abridges to a head or a tail and is then absorbed into the surviving
-outer parts.  Family bounds fire afterwards: a head (1, k) with k > m
-drops to (0, k-1), a tail (l, 1) with l > n drops to (l-1, 0).
+outer parts.  Family bounds fire afterwards, in element_at: a head (1, k)
+with k > m drops to (0, k-1), a tail (l, 1) with l > n drops to (l-1, 0).
 
 Group-case elements carry the letter balance g = #a - #b (a residue when
 the generator order is finite) plus the first and last letters where the
 family keeps them meaningful.  In every family format_element writes the
 shortlex-least word of the element, which is the oracle's normal form.
 
-Eggbox addressing lives here: element_at builds the element at a row
-(head) and column (tail), and window_rows / window_cols list the rows and
-columns that fit a window bound.
+Eggbox addressing lives here: element_at builds the element from a head
+and a tail and applies the family bounds, and window_rows / window_cols
+list the rows and columns that fit a window bound.  element_at is the one
+place a combinatorial element is built from parts: multiply and reduce
+end in it, and so do structure's covers and quotient's bicyclic images.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .family import Combinatorial, FamilySpec, GroupCase, bound_value
 from .words import (
     Run,
     balance,
-    check_runs,
     decimal,
     format_runs,
     mirror_runs,
@@ -97,24 +98,19 @@ def reduce(word: str, family: FamilySpec) -> Element:
     return _reduce(parse_runs(word), family)
 
 
-def reduce_runs(runs: list[Run], family: FamilySpec) -> Element:
+def _reduce(runs: list[Run], family: FamilySpec) -> Element:
     """Canonical form of a word given as maximal runs; O(number of runs).
 
-    OrthoxError unless runs are maximal runs (see words.check_runs).
+    A combinatorial word is multiplied out in the free family and bounded
+    once, by element_at: the bounds are the quotient map onto the family.
     """
-    check_runs(runs)
-    return _reduce(runs, family)
-
-
-def _reduce(runs: list[Run], family: FamilySpec) -> Element:
-    """reduce_runs on runs known to be maximal."""
     if isinstance(family, GroupCase):
         return Element(family, GroupElement(family.residue(balance(runs)),
                                             *family.cell(runs[0][0], runs[-1][0])))
     acc: tuple[Part | None, Part | None] | None = None
     for k, l in run_syllables(runs):
-        syl = _bounded(family, *_abridge(k, l))
-        acc = syl if acc is None else _bounded(family, *_combine(*acc, *syl))
+        syl = _abridge(k, l)
+        acc = syl if acc is None else _combine(*acc, *syl)
     assert acc is not None
     return element_at(family, *acc)
 
@@ -125,8 +121,7 @@ def multiply(x: Element, y: Element) -> Element:
     if isinstance(x.form, GroupElement):
         g = x.family.residue(x.form.g + y.form.g)
         return Element(x.family, GroupElement(g, x.form.row, y.form.col))
-    parts = _combine(x.form.head, x.form.tail, y.form.head, y.form.tail)
-    return element_at(x.family, *_bounded(x.family, *parts))
+    return element_at(x.family, *_combine(x.form.head, x.form.tail, y.form.head, y.form.tail))
 
 
 def equal(x: Element, y: Element) -> bool:
@@ -260,14 +255,18 @@ def window_elements(family: FamilySpec, bound: int) -> list[Element]:
     """All canonical elements whose exponents (or balance) fit the bound.
 
     A combinatorial window holds O(bound^2) elements, so bound stops at
-    MAX_ELEMENTS_BOUND.
+    MAX_ELEMENTS_BOUND.  A finite-order group case lists every residue
+    whatever the bound, so a window larger than the free family's at
+    MAX_ELEMENTS_BOUND is rejected before anything is built.
     """
     check_bound(bound, MAX_ELEMENTS_BOUND)
     if isinstance(family, GroupCase):
-        if family.order is not None:
-            gs = range(family.order)
-        else:
-            gs = range(-bound, bound + 1)
+        gs = range(-bound, bound + 1) if family.order is None else range(family.order)
+        size = (gs.stop - gs.start) * len(family.rows) * len(family.cols)
+        if size > (2 * MAX_ELEMENTS_BOUND) ** 2:
+            raise OrthoxError(
+                f"window holds more than {(2 * MAX_ELEMENTS_BOUND) ** 2:,} elements, "
+                f"the free family's window at bound {MAX_ELEMENTS_BOUND}")
         return [Element(family, GroupElement(g, row, col))
                 for g in gs for row in family.rows for col in family.cols]
     cols = window_cols(family, bound)
@@ -290,13 +289,21 @@ def window_cols(family: Combinatorial, bound: int) -> list[Part | None]:
 
 
 def element_at(family: Combinatorial, row: Part | None, col: Part | None) -> Element:
-    """The element in eggbox row `row` (its head) and column `col` (its tail).
+    """The element a^i b^k a^l b^j of head `row` = (i, k) and tail `col` = (l, j).
 
-    None is the central row or column.  They meet at ab, which the combine
-    kernel may also pass as the lone tail (1, 1).
+    None is the central row or column; they meet at ab, which may also come
+    as the lone tail (1, 1).  The parts may be any of the free family, and
+    the family bounds apply here, so on the rows and columns the family
+    admits they do nothing.
     """
+    if row and col == (1, 1):
+        col = None                      # a trailing ab is absorbed by any head
     i, k = row or (0, 0)
     l, j = col or ((0, 0) if row else (1, 1))
+    if not family.admits_head(i, k):
+        i, k = 0, k - 1                 # a b^k = b^(k-1) past the left bound
+    if not family.admits_tail(l, j):
+        l, j = l - 1, 0                 # a^l b = a^(l-1) past the right bound
     return Element(family, ReducedWord(i, k, l, j))
 
 
@@ -343,19 +350,6 @@ def _mul_heads(x: Part, y: Part) -> Part:
 def _mul_tails(x: Part, y: Part) -> Part:
     # a^l b^j . a^l' b^j'  =  a^(l + l' - j) b^j'
     return (x[0] + y[0] - x[1], y[1])
-
-
-def _bounded(family: Combinatorial, p: Part | None,
-             q: Part | None) -> tuple[Part | None, Part | None]:
-    if p is not None and q == (1, 1):
-        q = None  # trailing ab is absorbed by any head
-    m = family.left_bound
-    if p is not None and m is not None and p[0] == 1 and p[1] > m:
-        p = (0, p[1] - 1)
-    n = family.right_bound
-    if q is not None and n is not None and q[1] == 1 and q[0] > n:
-        q = (q[0] - 1, 0)
-    return (p, q)
 
 
 # -- group-case canonical words ---------------------------------------

@@ -2,10 +2,11 @@
 
 Collapsing every pair of elements with identical inverse sets turns a
 combinatorial family into the bicyclic semigroup Combinatorial(1, 1) and
-a group-case family into the cyclic group of its generator.  Membership
-in the collapse is decided through those images, and inverse sets come
-from the Clifford-Miller theorem.  The tests check both against searches
-over the definition x y x = x, y x y = y.
+a group-case family into the cyclic group of its generator.  The bicyclic
+image of x is its head and tail under the bicyclic bounds, the cyclic
+image its balance.  Membership in the collapse is decided through those
+images, and inverse sets come from the Clifford-Miller theorem.  The
+tests check both against searches over the definition x y x = x, y x y = y.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from .normal_form import (
     GroupElement,
     check_bound,
     element_at,
-    element_runs,
     in_window,
-    reduce_runs,
     sort_key,
 )
 from .structure import col_idempotents, eggbox_coord, row_idempotents
@@ -45,7 +44,7 @@ def inverse_image(x: Element) -> InverseImage:
     """Image of x in the maximum inverse-semigroup quotient."""
     if isinstance(x.form, GroupElement):
         return CyclicImage(x.form.g)
-    return BicyclicImage(reduce_runs(element_runs(x), BICYCLIC))
+    return BicyclicImage(element_at(BICYCLIC, x.form.head, x.form.tail))
 
 
 def inverses_window(x: Element, bound: int) -> list[Element]:

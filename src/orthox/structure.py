@@ -7,7 +7,9 @@ head pairs (i, k) of canonical forms, edge columns the tail pairs (l, j).
 Window enumerations cap the exponents k and l, so a window is a
 rectangular sub-grid of the eggbox diagram.  The family objects say which
 rows and columns exist; normal_form's element_at, window_rows and
-window_cols address them.
+window_cols address them.  Every element is its eggbox cell, so the band's
+covers are cells too: the idempotent below e is element_at of e's head and
+tail each lengthened by one letter.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .normal_form import (
     in_window,
     is_idempotent,
     multiply,
-    reduce_runs,
     sort_key,
     window_rows,
 )
@@ -218,5 +219,4 @@ def _cover(e: Element) -> Element:
     """The idempotent that e covers: a^i b^(k+1) a^(l+1) b^j, reading ab as abab."""
     f = e.form
     i, k, l, j = (f.i, f.k, f.l, f.j) if f.k else (1, 1, 1, 1)   # only ab lacks a head
-    runs = [("a", i), ("b", k + 1), ("a", l + 1), ("b", j)]
-    return reduce_runs([run for run in runs if run[1]], e.family)
+    return element_at(e.family, (i, k + 1), (l + 1, j))

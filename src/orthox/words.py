@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .errors import BadExponent, BadSymbol, EmptyWord, OrthoxError
+from .errors import BadExponent, BadSymbol, EmptyWord
 
 Run = tuple[str, int]
 
@@ -57,22 +57,6 @@ def parse_runs(text: str) -> list[Run]:
                 f"symbol {s[pos]!r} at position {pos} is not one of a, b, ^, digits")
         raise BadExponent(f"malformed exponent at position {pos} in {text!r}")
     return runs
-
-
-def check_runs(runs: list[Run]) -> None:
-    """Raise OrthoxError unless runs are a word's maximal runs; O(len(runs)).
-
-    Maximal runs are at least one run, with the letters a and b
-    alternating and every count >= 1.
-    """
-    if not runs:
-        raise EmptyWord("word has no runs")
-    letters, counts = zip(*runs)
-    text = "".join(letters)
-    if len(text) != len(runs) or text.strip("ab") or "aa" in text or "bb" in text:
-        raise OrthoxError(f"run letters must alternate between a and b, got {text!r}")
-    if min(counts) < 1:
-        raise BadExponent(f"run counts must be >= 1, got {min(counts)}")
 
 
 def format_runs(runs: list[Run]) -> str:

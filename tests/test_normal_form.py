@@ -37,7 +37,6 @@ from orthox.normal_form import (
     MAX_ELEMENTS_BOUND,
     element_to_json,
     in_window,
-    reduce_runs,
     sort_key,
 )
 from orthox.oracle import all_words, closure_classes
@@ -82,19 +81,6 @@ def test_reduce_examples_group():
     assert (one.form.g, one.form.row, one.form.col) == (2, "a", "b")
     four = reduce("a^5", GroupCase(True, True, 5))
     assert four.form.g == 0
-
-
-@pytest.mark.parametrize("runs", [
-    [("a", 1), ("a", 2)],     # was read as ab^2, though reduce("aaa") is a^3
-    [("a", -2), ("b", 1)],    # was read as ab^4
-    [("c", 1)],               # was read as a
-    [],                       # was a bare IndexError
-], ids=["neighbours-share-a-letter", "negative-count", "letter-c", "no-runs"])
-@pytest.mark.parametrize("family", [FREE, GroupCase(False, False, 3)], ids=str)
-def test_reduce_runs_rejects_runs_that_are_not_maximal(family, runs):
-    assert reduce_runs([("b", 1), ("a", 2), ("b", 1)], family) == reduce("ba^2b", family)
-    with pytest.raises(OrthoxError):
-        reduce_runs(runs, family)
 
 
 def test_multiply_examples():
@@ -201,9 +187,57 @@ def test_window_elements_bound_limit_rejected_before_building(monkeypatch):
                 window_elements(family, bound)
 
 
+def test_window_elements_group_size_limit_rejected_before_building(monkeypatch):
+    # A finite-order group case lists every residue whatever the bound, so
+    # its window is held to the size of the free family's largest window.
+    most = (2 * MAX_ELEMENTS_BOUND) ** 2
+    free_rows = normal_form.window_rows(FREE, MAX_ELEMENTS_BOUND)
+    assert len(free_rows) * len(normal_form.window_cols(FREE, MAX_ELEMENTS_BOUND)) == most
+
+    def refuse(*args):
+        raise AssertionError(f"built an element {args}")
+    monkeypatch.setattr(normal_form, "Element", refuse)
+    monkeypatch.setattr(normal_form, "GroupElement", refuse)
+    start = time.perf_counter()
+    for family in (GroupCase(False, False, 10 ** 12), GroupCase(True, True, 10 ** 12),
+                   GroupCase(False, False, most // 4 + 1), GroupCase(True, True, most + 1)):
+        with pytest.raises(OrthoxError, match=f"more than {most:,} elements"):
+            window_elements(family, 1)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(normal_form, "Element", lambda *args: None)
+    monkeypatch.setattr(normal_form, "GroupElement", lambda *args: None)
+    assert len(window_elements(GroupCase(False, False, most // 4), 1)) == most
+    assert len(window_elements(GroupCase(True, True, most), MAX_ELEMENTS_BOUND)) == most
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP, ids=str)
+def test_element_at_bounds_any_free_head_and_tail(family):
+    # element_at takes the head and tail of any free canonical word, admitted
+    # or not, or a head and the tail ab, and applies the family bounds.  Up
+    # to 9 letters the oracle's normal form referees without the reducer.
+    oracle = closure_classes(family, 9).classes
+    heads = [None] + [(i, k) for i in (0, 1) for k in range(i + 1, 7)]
+    tails = [None] + [(l, j) for j in (0, 1) for l in range(max(j, 1), 7)]
+    for row in heads:
+        for col in tails:
+            i, k = row or (0, 0)
+            l, j = col or ((0, 0) if row else (1, 1))
+            word = "a" * i + "b" * k + "a" * l + "b" * j
+            x = normal_form.element_at(family, row, col)
+            assert x == reduce(word, family), (row, col)
+            if len(word) <= 9:
+                assert parse_word(format_element(x)) == oracle[word], (row, col)
+
+
+def test_element_at_example_past_both_bounds():
+    family = Combinatorial(3, 2)
+    assert normal_form.element_at(family, (1, 5), (5, 1)) == reduce("ab^5a^5b", family)
+    assert format_element(normal_form.element_at(family, (1, 5), (5, 1))) == "b^4a^4"
+
+
 @pytest.mark.parametrize("family", COMBINATORIAL_EVERY, ids=str)
 def test_bound_relations_match_admitted_heads_and_tails(family):
-    # The reducer applies the bounds inline; the family predicates name them.
+    # reduce applies the bounds in element_at, through the family predicates.
     # Exponent 1 spells ab, which has no head: heads (1, k) start at k = 2.
     for e in range(2, 13):
         assert (reduce(f"ab^{e}", family).form.head == (1, e)) == family.admits_head(1, e)

@@ -20,7 +20,7 @@ from orthox.quotient import (
     inverses_window,
 )
 
-from conftest import EVERY_FAMILY
+from conftest import COMBINATORIAL_SWEEP, EVERY_FAMILY
 
 FREE = Combinatorial(None, None)
 N = 10**18
@@ -47,6 +47,14 @@ def test_image_is_homomorphism_combinatorial():
             lhs = inverse_image(multiply(canon[w1], canon[w2]))
             rhs = multiply(images[w1].element, images[w2].element)
             assert lhs == BicyclicImage(rhs)
+
+
+@pytest.mark.parametrize("family", COMBINATORIAL_SWEEP, ids=str)
+def test_image_is_the_bicyclic_reduction_of_the_canonical_word(family):
+    # The image is the element's own head and tail under the bicyclic
+    # bounds; here it is checked against reducing its word in BICYCLIC.
+    for x in window_elements(family, 6):
+        assert inverse_image(x).element == reduce(format_element(x), BICYCLIC), x.form
 
 
 @pytest.mark.parametrize("order", [None, 1, 3, 5])
