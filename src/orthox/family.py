@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OrthoxError
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An unoriented defining relation lhs = rhs between two words."""
+class Relation(NamedTuple):
+    """A relation lhs = rhs between two words; oriented, it is a rewriting rule."""
 
     lhs: str
     rhs: str

@@ -1,7 +1,7 @@
-"""Independent validator: word classes read off a shortlex completion.
+"""The word oracle: word classes read off a shortlex completion.
 
-The oracle never consults the reduction engine.  closure_classes spells
-the family's relations that can act on words of length <= max_len
+The closure side never consults the reduction engine.  closure_classes
+spells the family's relations that can act on words of length <= max_len
 (family.relations_of), rewriting.complete runs a shortlex Knuth-Bendix
 completion of them, and those words are classed by their normal forms.
 Every rule is a consequence of the relations, so two words in one class
@@ -14,18 +14,17 @@ lhs is longer than cap letters; the cap warning is set whenever a rule
 was left out, by the cap or by rewriting.MAX_RULES, and then two words in
 different classes are merely "not proved equal".
 
-verify_reducer reads the reducer's answers off the right Cayley graph of
-the generators: reduce(w x) = multiply(reduce(w), reduce(x)), so each
-word's answer is its one-letter-shorter prefix's answer times its last
-letter.  Each distinct answer is numbered once, and the graph maps
-(answer, letter) to the answer of the product; multiply runs only when
-the graph gains an edge, at most twice per distinct answer.  It compares
-closure equality with reducer equality over all pairs of words up to
-max_len by counting: the pairs equal under both, under the closure and
-under the reducer are sums of C(size, 2) over the joint classes, the
-closure classes and the reducer classes.  Only when those counts
-disagree does it list the mismatched pairs, walking the pairs within
-each class, in itertools.combinations order.
+Both sides walk the words in the order of words.walk, the closure side
+in rewriting.normal_forms, and share nothing else; tests check each side
+word by word.  verify_reducer reads the reducer's answers off that walk:
+reduce(w x) = multiply(reduce(w), reduce(x)), so multiply runs once per
+edge of the generators' right Cayley graph.  It compares closure
+equality with reducer equality over all pairs of words up to max_len by
+counting: the pairs equal under both, under the closure and under the
+reducer are sums of C(size, 2) over the joint classes, the closure
+classes and the reducer classes.  Only when those counts disagree does
+it list the mismatched pairs, walking the pairs within each class, in
+itertools.combinations order.
 
 Listing mismatches can walk every pair of words up to max_len, so lengths
 stop at MAX_VERIFY_LEN, checked before anything is computed.
@@ -41,7 +40,8 @@ from dataclasses import dataclass
 from .errors import OrthoxError
 from .family import FamilySpec, relations_of
 from . import rewriting
-from .normal_form import Element, multiply, reduce
+from .normal_form import multiply, reduce
+from .words import all_words, walk
 
 MAX_VERIFY_LEN = 10    # 2,046 words; listing mismatches may walk 2.1 million pairs
 
@@ -78,8 +78,8 @@ def closure_classes(family: FamilySpec, max_len: int, cap: int | None = None,
     cap limits the lhs of the rules the completion adopts; None sets no limit.
     """
     _check_range(max_len, cap)
-    pairs = [(r.lhs, r.rhs) for r in relations_of(family, max_len)]
-    rules, finished = rewriting.complete(pairs, math.inf if cap is None else cap)
+    rules, finished = rewriting.complete(relations_of(family, max_len),
+                                         math.inf if cap is None else cap)
     forms = rewriting.normal_forms(rules, max_len)
     return ClosureTable(dict(zip(all_words(max_len), forms)),
                         check_cap and not finished)
@@ -96,7 +96,7 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
     table = closure_classes(family, max_len, cap)
     vocab = list(table.classes)
     reps = list(table.classes.values())
-    canon, _ = _cayley_walk(family, max_len)
+    canon, _ = walk([reduce(x, family) for x in "ab"], multiply, max_len)
     both = _equal_pairs(zip(reps, canon))
     reducer_splits = _split_pairs(vocab, reps, canon) if _equal_pairs(reps) > both else []
     closure_splits = _split_pairs(vocab, canon, reps) if _equal_pairs(canon) > both else []
@@ -104,32 +104,6 @@ def verify_reducer(family: FamilySpec, max_len: int, cap: int | None = None,
                   - len(reducer_splits) - len(closure_splits))
     return VerifyReport(agreements, reducer_splits, closure_splits,
                         table.cap_warning)
-
-
-def _cayley_walk(family: FamilySpec, max_len: int) -> tuple[list[int], list[Element]]:
-    """The answer id of every word up to max_len in length-lex order, and the answers.
-
-    Word n is word n // 2 - 1 followed by letter n & 1, as in
-    rewriting.normal_forms, and words 0 and 1 are the letters a and b
-    themselves, which may be one element and then share an id.
-    """
-    ids: dict[Element, int] = {}
-    answers: list[Element] = []                 # by id
-    graph: dict[tuple[int, int], int] = {}      # (answer id, letter) -> answer id
-
-    def number(x: Element) -> int:
-        if x not in ids:
-            ids[x] = len(answers)
-            answers.append(x)
-        return ids[x]
-
-    out = [number(reduce(letter, family)) for letter in "ab"]
-    for n in range(2, 2 ** (max_len + 1) - 2):
-        edge = (out[n // 2 - 1], n & 1)
-        if edge not in graph:
-            graph[edge] = number(multiply(answers[edge[0]], answers[out[edge[1]]]))
-        out.append(graph[edge])
-    return out, answers
 
 
 def _check_range(max_len: int, cap: int | None, max_len_name: str = "max_len",
@@ -141,14 +115,6 @@ def _check_range(max_len: int, cap: int | None, max_len_name: str = "max_len",
         raise OrthoxError(f"{max_len_name} must be <= {MAX_VERIFY_LEN}, got {max_len}")
     if cap is not None and max_len > cap:
         raise OrthoxError(f"{max_len_name} must be <= {cap_name}, got {max_len} > {cap}")
-
-
-def all_words(max_len: int) -> list[str]:
-    """Every word of length 1 to max_len, in length-lex order."""
-    out = []
-    for length in range(1, max_len + 1):
-        out.extend("".join(t) for t in itertools.product("ab", repeat=length))
-    return out
 
 
 def _equal_pairs(keys) -> int:

@@ -1,13 +1,14 @@
 """Shortlex Knuth-Bendix completion of a string-rewriting system.
 
 Words are ordered shortlex: shorter first, then alphabetically with
-a < b.  That is the oracle's length-lex order, and every rewrite makes a
+a < b.  That is the order of words.all_words, and every rewrite makes a
 word smaller in it, so a word's normal form under a complete system is
 the least word equal to it.
 
-Each relation is oriented from its shortlex-larger side to its smaller one,
-and each critical pair whose sides have different normal forms adds a
-rule between them.  Rules are never interreduced.
+Each relation is oriented into a rule, a family.Relation from its
+shortlex-larger side to its smaller one, and each critical pair whose
+sides have different normal forms adds a rule between them.  Rules are
+never interreduced.
 
 A shortlex completion need not terminate (aba = bab does not), so
 complete() leaves out every rule whose lhs is longer than max_lhs and
@@ -20,20 +21,16 @@ rules complete.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from .family import Relation
+from .words import walk
 
 MAX_RULES = 48
 
 
-class Rule(NamedTuple):
-    lhs: str
-    rhs: str
-
-
-def complete(relations: list[tuple[str, str]], max_lhs: int) -> tuple[list[Rule], bool]:
+def complete(relations: list[tuple[str, str]], max_lhs: int) -> tuple[list[Relation], bool]:
     """(rules, finished): a shortlex system for the relations (see above)."""
-    rules: list[Rule] = []
-    index: dict[str, Rule] = {}       # the first rule of each lhs, for rewriting
+    rules: list[Relation] = []
+    index: dict[str, Relation] = {}   # the first rule of each lhs, for rewriting
     lengths: list[int] = []           # the distinct lhs lengths, ascending
     finished = True
 
@@ -46,7 +43,7 @@ def complete(relations: list[tuple[str, str]], max_lhs: int) -> tuple[list[Rule]
         if len(lhs) > max_lhs or len(rules) == MAX_RULES:
             finished = False
             return
-        rule = Rule(lhs, rhs)
+        rule = Relation(lhs, rhs)
         rules.append(rule)
         index.setdefault(lhs, rule)
         if len(lhs) not in lengths:
@@ -63,26 +60,22 @@ def complete(relations: list[tuple[str, str]], max_lhs: int) -> tuple[list[Rule]
     return rules, finished
 
 
-def normal_forms(rules: list[Rule], max_len: int) -> list[str]:
+def normal_forms(rules: list[Relation], max_len: int) -> list[str]:
     """The normal forms of all words up to max_len, in length-lex order.
 
-    Word n in that order, of length L, spells n + 2 - 2 ** L in binary with
-    a = 0, b = 1; dropping its last letter gives word (n + 2) // 2 - 2,
-    whose normal form is irreducible, so only the last letter needs
-    rewriting in.
+    A word's prefix has an irreducible normal form, so only the last letter
+    needs rewriting in, and words.walk does that once per (form, letter).
     """
-    index: dict[str, Rule] = {}
+    index: dict[str, Relation] = {}
     for rule in rules:
         index.setdefault(rule.lhs, rule)
     lengths = sorted({len(rule.lhs) for rule in rules})
-    out: list[str] = []
-    for n in range(2 ** (max_len + 1) - 2):
-        done = out[(n + 2) // 2 - 2] if n >= 2 else ""
-        out.append(_normalize(done, "ab"[n & 1], index, lengths))
-    return out
+    ids, forms = walk([_normalize("", x, index, lengths) for x in "ab"],
+                      lambda done, x: _normalize(done, x, index, lengths), max_len)
+    return [forms[n] for n in ids]
 
 
-def _overlaps(r1: Rule, r2: Rule) -> list[tuple[str, str]]:
+def _overlaps(r1: Relation, r2: Relation) -> list[tuple[str, str]]:
     """The critical pairs of r1 and r2.
 
     r2's lhs either starts on a proper suffix of r1's lhs or sits inside
@@ -101,7 +94,7 @@ def _overlaps(r1: Rule, r2: Rule) -> list[tuple[str, str]]:
     return out
 
 
-def _normalize(done: str, todo: str, index: dict[str, Rule], lengths: list[int]) -> str:
+def _normalize(done: str, todo: str, index: dict[str, Relation], lengths: list[int]) -> str:
     """The normal form of done + todo, done irreducible.
 
     Letters move from todo to done one at a time, so a redex can only be a

@@ -7,6 +7,10 @@ different letters -- so an exponent is never spelled out letter by
 letter; the formatter writes runs of length two or more back in caret
 form.  There is no empty word: the semigroups served by this package
 carry no adjoined identity.
+
+all_words and walk number words in length-lex order (shorter first, then
+a < b): words 0 and 1 are the letters, and word n is word n // 2 - 1
+followed by letter n & 1.
 """
 
 from __future__ import annotations
@@ -136,3 +140,38 @@ def mirror(word: str) -> str:
 
 def _spell_runs(runs: list[Run]) -> str:
     return "".join(letter * count for letter, count in runs)
+
+
+def all_words(max_len: int) -> list[str]:
+    """Every word of length 1 to max_len, in length-lex order."""
+    out = ["a", "b"] if max_len > 0 else []
+    for n in range(2, 2 ** (max_len + 1) - 2):
+        out.append(out[n // 2 - 1] + "ab"[n & 1])
+    return out
+
+
+def walk(letters: list, step, max_len: int) -> tuple[list[int], list]:
+    """(ids, answers): the answer id of every word up to max_len, and the answers.
+
+    Words 0 and 1 answer letters[0] and letters[1]; word n answers
+    step(its prefix's answer, letters[n & 1]).  Equal answers share an id,
+    so this walks the right Cayley graph of the letters, and step runs only
+    when the graph gains an edge: at most twice per distinct answer.
+    """
+    ids: dict[object, int] = {}
+    answers: list = []                          # by id
+    graph: dict[tuple[int, int], int] = {}      # (answer id, letter) -> answer id
+
+    def number(x) -> int:
+        if x not in ids:
+            ids[x] = len(answers)
+            answers.append(x)
+        return ids[x]
+
+    out = [number(x) for x in letters]
+    for n in range(2, 2 ** (max_len + 1) - 2):
+        edge = (out[n // 2 - 1], n & 1)
+        if edge not in graph:
+            graph[edge] = number(step(answers[edge[0]], letters[edge[1]]))
+        out.append(graph[edge])
+    return out, answers

@@ -23,6 +23,7 @@ from orthox.oracle import (
     closure_classes,
     verify_reducer,
 )
+from orthox.words import walk
 
 from conftest import COMBINATORIAL_FIVE, COMBINATORIAL_SWEEP, GROUP_CASES
 
@@ -583,16 +584,16 @@ def test_counting_compare_matches_pairwise_walk_on_a_faulty_reducer(monkeypatch)
 @pytest.mark.parametrize("family", COMBINATORIAL_SWEEP + GROUP_CASES, ids=str)
 def test_cayley_walk_equals_reduce(family):
     # GROUP_CASES holds GroupCase(True, True, d) at d = 1 and 2, where a = b.
-    ids, answers = oracle._cayley_walk(family, MAX_VERIFY_LEN)
+    ids, answers = walk([reduce(x, family) for x in "ab"], multiply, MAX_VERIFY_LEN)
     assert len(set(answers)) == len(answers)
     assert [answers[n] for n in ids] == [reduce(w, family) for w in all_words(MAX_VERIFY_LEN)]
 
 
 @pytest.mark.parametrize("family", COMBINATORIAL_SWEEP + GROUP_CASES, ids=str)
-def test_cayley_walk_multiplies_once_per_edge(family, monkeypatch):
+def test_cayley_walk_multiplies_once_per_edge(family):
     calls = []
-    monkeypatch.setattr(oracle, "multiply", lambda x, y: calls.append(x) or multiply(x, y))
-    ids, answers = oracle._cayley_walk(family, MAX_VERIFY_LEN)
+    ids, answers = walk([reduce(x, family) for x in "ab"],
+                        lambda x, y: calls.append(x) or multiply(x, y), MAX_VERIFY_LEN)
     assert len(ids) == len(all_words(MAX_VERIFY_LEN))
     # Each answer has two edges out, so at most 2 x answers multiplies,
     # far fewer than one per word.

@@ -2,8 +2,8 @@ import pytest
 
 from orthox import Combinatorial, GroupCase, Relation, reduce, relations_of
 from orthox import rewriting
-from orthox.oracle import all_words
-from orthox.rewriting import Rule, complete, normal_forms
+from orthox.oracle import MAX_VERIFY_LEN, all_words
+from orthox.rewriting import complete, normal_forms
 
 from conftest import GROUP_CASES
 from test_oracle import per_edge_closure, per_edge_partitions
@@ -113,26 +113,44 @@ def test_a_completion_that_runs_forever_keeps_consequences():
 
 
 def test_normal_forms_by_word_number():
-    rules = [Rule("aabb", "ab"), Rule("aba", "a"), Rule("bab", "b")]
+    rules = [Relation("aabb", "ab"), Relation("aba", "a"), Relation("bab", "b")]
     forms = normal_forms(rules, 4)
     words = all_words(4)
     assert len(forms) == len(words) == 30
     assert dict(zip(words, forms)) == {w: _reference_normal_form(w, rules) for w in words}
 
 
+# -- the closure side of words.walk: one rewrite per new (form, letter) edge
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_normal_forms_equal_the_reference_normal_form(family):
+    rules = _system(family)
+    assert normal_forms(rules, 8) == [_reference_normal_form(w, rules) for w in all_words(8)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_normal_forms_normalize_once_per_edge(family, monkeypatch):
+    rules, calls = _system(family), []
+    normalize = rewriting._normalize
+    monkeypatch.setattr(rewriting, "_normalize", lambda *args: calls.append(args) or normalize(*args))
+    forms = normal_forms(rules, MAX_VERIFY_LEN)
+    # The two letters, then one rewrite per edge: two edges out of each form.
+    assert len(calls) <= 2 * len(set(forms)) + 2 < len(forms)
+
+
 def test_equal_sides_add_no_rule():
     assert complete([("ab", "ab")], 4) == ([], True)
-    assert complete([("ab", "ab"), ("aa", "a")], 4) == ([Rule("aa", "a")], True)
+    assert complete([("ab", "ab"), ("aa", "a")], 4) == ([Relation("aa", "a")], True)
 
 
 def test_limits_leave_rules_out(monkeypatch):
-    assert complete([("aabb", "ab")], 4) == ([Rule("aabb", "ab")], True)
+    assert complete([("aabb", "ab")], 4) == ([Relation("aabb", "ab")], True)
     assert complete([("aabb", "ab")], 3) == ([], False)      # lhs longer than max_lhs
     assert not complete([("aba", "bab")], 15)[1]              # runs forever
     monkeypatch.setattr(rewriting, "MAX_RULES", 5)
     many = [("a" * k + "b", "b") for k in range(1, 7)]
-    assert complete(many[:-1], 7) == ([Rule(u, v) for u, v in many[:-1]], True)
-    assert complete(many, 7) == ([Rule(u, v) for u, v in many[:-1]], False)
+    assert complete(many[:-1], 7) == ([Relation(u, v) for u, v in many[:-1]], True)
+    assert complete(many, 7) == ([Relation(u, v) for u, v in many[:-1]], False)
 
 
 def test_completion_is_deterministic():
@@ -143,9 +161,9 @@ def test_completion_is_deterministic():
 
 @pytest.mark.parametrize("relation, rules", [
     # aa.a rewrites to b.a and to a.b
-    (("aa", "b"), [Rule("aa", "b"), Rule("ba", "ab")]),
+    (("aa", "b"), [Relation("aa", "b"), Relation("ba", "ab")]),
     # ab(a)ba rewrites to b.ba and to ab.b, both steps inside ababa
-    (("aba", "b"), [Rule("aba", "b"), Rule("bba", "abb")]),
+    (("aba", "b"), [Relation("aba", "b"), Relation("bba", "abb")]),
 ], ids=["aa=b", "aba=b"])
 def test_a_relation_overlapping_itself(relation, rules):
     assert complete([relation], 12) == (rules, True)

@@ -6,6 +6,9 @@ src/ references it outside its own definition, when bench/*.py names it
 functions it wraps), or when orthox/__init__ exports it.  References are
 matched by name, so a method passes when any attribute of that name is
 read.
+
+Every name a module other than orthox/__init__ imports is read in that
+module.
 """
 
 import ast
@@ -67,3 +70,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 continue
             unused.append(f"{module}.{qualname}")
     assert unused == []
+
+
+def test_every_import_is_read_where_it_is_imported():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if not read[name]:
+                        unread.append(f"{path.stem}: {name}")
+    assert unread == []

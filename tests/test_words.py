@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from orthox import Combinatorial, reduce
 from orthox.errors import BadExponent, BadSymbol, EmptyWord, OrthoxError
 from orthox.words import (
+    all_words,
     balance,
     format_runs,
     format_word,
@@ -19,6 +21,12 @@ from orthox.words import (
 from conftest import RUN_LISTS, caret, flat
 
 words = st.text(alphabet="ab", min_size=1, max_size=24)
+
+
+@pytest.mark.parametrize("max_len", range(1, 11))
+def test_all_words_is_length_lex(max_len):
+    assert all_words(max_len) == ["".join(t) for length in range(1, max_len + 1)
+                                  for t in itertools.product("ab", repeat=length)]
 
 
 def test_parse_literal_letters():
